@@ -13,15 +13,14 @@ Fails when the documentation drifts from the actual source tree:
     `Outcome::X`), the SOFA_FAULTS variable and the common/faultplan
     grammar, and bench_serve (and must not mention modules or
     Outcome values that no longer exist);
-  * docs/TUNING.md must cover the tile planner: every TilePlan knob
-    and every MachineDescriptor field (parsed from the headers, as
-    `field`), the SOFA_AUTOTILE and SOFA_MACHINE variables, the
-    core/tiler and common/machine modules and bench_tiler (and must
-    not mention modules that no longer exist);
+  * every SOFA_* name the docs (README.md, docs/*.md) mention — an
+    environment variable, CMake option or macro — must still occur
+    in the code (src/, bench/, tests/, scripts/, CMake files), so a
+    deleted knob cannot stay documented;
   * every src/serve header, plus src/common/threadpool.h,
-    src/common/machine.h, src/core/engine.h, src/core/tiler.h and
-    src/model/model_workload.h, must carry the Units/assumptions
-    header-comment line (the PR-3 documentation convention).
+    src/core/engine.h and src/model/model_workload.h, must carry the
+    Units/assumptions header-comment line (the PR-3 documentation
+    convention).
 
 Run by CI's docs job and registered as the docs_sync CTest.
 """
@@ -182,46 +181,28 @@ def main():
             errors.append(f"docs/SERVING.md: {needle} not documented "
                           "(fault-model section)")
 
-    # --- tuning docs <-> the tile planner -----------------------
-    # docs/TUNING.md is the operator's guide to the auto-tiler; its
-    # knob and field tables are parsed from the headers so a renamed
-    # or added knob cannot land undocumented.
-    tuning_doc = read("docs/TUNING.md")
-    for struct, header in (("TilePlan", "src/core/tiler.h"),
-                           ("MachineDescriptor",
-                            "src/common/machine.h")):
-        body_match = re.search(
-            r"struct " + struct + r"\s*\{(.*?)\n\};", read(header),
-            re.DOTALL)
-        if not body_match:
-            errors.append(f"{header}: {struct} struct not found "
-                          "(check_docs parses it)")
-            continue
-        fields = re.findall(
-            r"^\s*(?:std::)?\w+\s+(\w+)\s*=[^=;][^;]*;",
-            body_match.group(1), re.MULTILINE)
-        if not fields:
-            errors.append(f"{header}: no {struct} fields parsed "
-                          "(check_docs regex stale?)")
-        for field in fields:
-            if f"`{field}`" not in tuning_doc:
-                errors.append(f"docs/TUNING.md: {struct} field "
-                              f"`{field}` not documented")
-    for needle in ("SOFA_AUTOTILE", "SOFA_MACHINE", "core/tiler",
-                   "common/machine", "bench_tiler"):
-        if needle not in tuning_doc:
-            errors.append(f"docs/TUNING.md: {needle} not documented")
-    for g, stem in set(pattern.findall(tuning_doc)):
-        if f"{g}/{stem}" not in modules:
-            errors.append(f"docs/TUNING.md: {g}/{stem} mentioned "
-                          "but not in src/")
+    # --- SOFA_* names in the docs <-> the code -----------------
+    # Environment variables, CMake options and macros are documented
+    # by name; once the code stops reading one, the docs must drop it.
+    docs = ["README.md"] + sorted(glob.glob("docs/*.md"))
+    code = "\n".join(
+        read(p) for p in glob.glob("src/*/*") + glob.glob("bench/*")
+        + glob.glob("benchmark/*") + glob.glob("examples/*")
+        + glob.glob("tests/**/*", recursive=True)
+        + glob.glob("scripts/*") + ["CMakeLists.txt"]
+        if os.path.isfile(p))
+    known = set(re.findall(r"\bSOFA_[A-Z0-9_]+\b", code))
+    for path in docs:
+        for name in sorted(set(re.findall(r"\bSOFA_[A-Z0-9_]+\b",
+                                          read(path)))):
+            if name not in known:
+                errors.append(f"{path}: {name} mentioned but no "
+                              "longer used by the code")
 
     # --- Units/assumptions header-comment convention ------------
     units_files = sorted(glob.glob("src/serve/*.h")) + [
-        "src/common/machine.h",
         "src/common/threadpool.h",
         "src/core/engine.h",
-        "src/core/tiler.h",
         "src/model/model_workload.h",
     ]
     for path in units_files:
@@ -263,8 +244,8 @@ def main():
         print(f"check_docs: {len(errors)} problem(s)")
         return 1
     print(f"check_docs: {len(modules)} src modules, {len(benches)} "
-          "bench binaries, serving docs, units headers and goldens "
-          "all in sync")
+          "bench binaries, serving docs, SOFA_* names, units headers "
+          "and goldens all in sync")
     return 0
 
 

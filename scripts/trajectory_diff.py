@@ -36,7 +36,6 @@ import subprocess
 import sys
 
 PERCENTILE_RE = re.compile(r"^(.+)_p(50|95|99)(_s)?$")
-PRED_MEAS_RE = re.compile(r"^(.+)_(pred|meas)_s$")
 OUTCOME_KINDS = ("completed", "degraded", "shed", "timedout",
                  "failed", "retried")
 OUTCOME_RE = re.compile(
@@ -125,7 +124,6 @@ def print_diff(prev, last):
         print(f"trajectory: {regressions} metric(s) slowed >25% "
               "(informational, not gating)")
     print_percentiles(pm, lm)
-    print_pred_meas(pm, lm)
     print_outcomes(pm, lm)
     print_fleet_scaling(pm, lm)
 
@@ -169,48 +167,6 @@ def print_percentiles(pm, lm):
         for p in ("50", "95", "99"):
             row += f"  {cell(fam, p):<20}"
         print(row)
-
-
-def print_pred_meas(pm, lm):
-    """Render *_pred_s / *_meas_s pairs as one row per family.
-
-    bench_tiler reports the cost model's predicted seconds next to
-    the measured seconds for every kernel/stage/plan candidate; one
-    row with the meas/pred ratio makes model drift (a stage got
-    faster but the model didn't) readable at a glance.
-    """
-    families = {}
-    for key in lm:
-        m = PRED_MEAS_RE.match(key)
-        if m:
-            families.setdefault(m.group(1), {})[m.group(2)] = key
-    families = {f: kinds for f, kinds in families.items()
-                if "pred" in kinds and "meas" in kinds}
-    if not families:
-        return
-
-    def cell(key):
-        new = lm[key]
-        old = pm.get(key)
-        if old is None:
-            return f"{new:.4g} (new)"
-        if old == 0:
-            return f"{new:.4g} (n/a)"
-        pct = 100.0 * (new - old) / abs(old)
-        return f"{new:.4g} ({pct:+.1f}%)"
-
-    width = max(len(f) for f in families)
-    print("cost model predicted vs measured "
-          "(value (delta vs previous)):")
-    print(f"  {'family':<{width}}  {'pred s':<20}  {'meas s':<20}"
-          f"  meas/pred")
-    for fam in sorted(families):
-        pred_key = families[fam]["pred"]
-        meas_key = families[fam]["meas"]
-        pred, meas = lm[pred_key], lm[meas_key]
-        ratio = f"{meas / pred:.2f}x" if pred else "n/a"
-        print(f"  {fam:<{width}}  {cell(pred_key):<20}"
-              f"  {cell(meas_key):<20}  {ratio}")
 
 
 def print_outcomes(pm, lm):
@@ -316,7 +272,6 @@ def print_baseline_compare(metrics):
     groups = {
         "simd vs scalar": [],
         "static vs dynamic sharding": [],
-        "autotile vs fixed knobs": [],
         "threading / other": [],
     }
     for key in sorted(metrics):
@@ -326,8 +281,6 @@ def print_baseline_compare(metrics):
             groups["simd vs scalar"].append(key)
         elif "dynamic" in key:
             groups["static vs dynamic sharding"].append(key)
-        elif "autotile" in key:
-            groups["autotile vs fixed knobs"].append(key)
         else:
             groups["threading / other"].append(key)
     if not any(groups.values()):

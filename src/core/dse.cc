@@ -297,31 +297,4 @@ analyticLexp(const DsePoint &p, int seq)
     return acc / norm;
 }
 
-double
-dseTileCost(const DsePoint &p, const TileShape &shape,
-            const TileCostModel &model)
-{
-    if (p.tcPerLayer.empty())
-        return 0.0;
-    // The planner's argmin is the per-shape floor every layer's
-    // tiling is measured against.
-    const TilePlan best = planTiles(shape, model);
-    const double floor_s = model.planSeconds(best, shape);
-    if (floor_s <= 0.0)
-        return 0.0;
-    double excess = 0.0;
-    for (int tc : p.tcPerLayer) {
-        // Bc = S / Tc is the layer's block extent; the software
-        // analogue is running SADS and SU-FA with that many rows per
-        // work unit (clamped to the shape's rows like the grid is).
-        const int bc = std::max(
-            1, shape.contextLen / std::max(1, tc));
-        TilePlan layer = best;
-        layer.rowTile = std::min(bc, std::max(1, shape.rowsPerHead));
-        layer.sadsSpan = layer.rowTile;
-        excess += model.planSeconds(layer, shape) / floor_s - 1.0;
-    }
-    return excess / static_cast<double>(p.tcPerLayer.size());
-}
-
 } // namespace sofa

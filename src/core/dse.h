@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/tiler.h"
 
 namespace sofa {
 
@@ -62,35 +61,28 @@ struct DseSpace
     DsePoint randomPoint(Rng &rng) const;
 };
 
-/** Objective weights (Eq. 2) — per-model values in Section V-B.1.
- * gamma weights the TileCostModel-backed runtime-tiling term (our
- * extension unifying the DSE with core/tiler); its 0.0 default keeps
- * the paper's two-term objective bit-identical. */
+/** Objective weights (Eq. 2) — per-model values in Section V-B.1. */
 struct DseObjectiveWeights
 {
     double alpha = 0.3;
     double beta = 0.35;
-    double gamma = 0.0;
 };
 
 /**
- * Evaluation callback: maps a point to (Len, Lcmp, Lexp[, Ltile]).
- * The harness provides an implementation backed by the functional
- * pipeline; tests provide synthetic ones.
+ * Evaluation callback: maps a point to (Len, Lcmp, Lexp). The harness
+ * provides an implementation backed by the functional pipeline; tests
+ * provide synthetic ones.
  */
 struct DseEvaluation
 {
     double len = 0.0;  ///< accuracy loss term
     double lcmp = 0.0; ///< Eq. 3: sum(Bci * k) / sum(S * k)
     double lexp = 0.0; ///< Eq. 4: sum(S / Bci), normalized
-    /** Tiling-cost excess from dseTileCost (0 when unused). */
-    double ltile = 0.0;
 
     double
     objective(const DseObjectiveWeights &w) const
     {
-        return len + w.alpha * lcmp + w.beta * lexp +
-               w.gamma * ltile;
+        return len + w.alpha * lcmp + w.beta * lexp;
     }
 };
 
@@ -175,19 +167,6 @@ DseResult randomSearch(const DseSpace &space,
 /** Analytic Lcmp (Eq. 3) and Lexp (Eq. 4) for a point. */
 double analyticLcmp(const DsePoint &p, int seq);
 double analyticLexp(const DsePoint &p, int seq);
-
-/**
- * TileCostModel-backed tiling-cost term (Ltile): mean over layers of
- * the predicted runtime excess of the point's per-layer block size
- * Bc_i = S / Tc_i — interpreted as the SADS span / SU-FA row tile
- * of @p shape — relative to planTiles()'s best plan for the shape.
- * >= 0, with 0 meaning the DSE point's tiling is as fast as the
- * software planner's choice; weight it with
- * DseObjectiveWeights::gamma so the design-space explorer and the
- * runtime tiler optimize one shared model.
- */
-double dseTileCost(const DsePoint &p, const TileShape &shape,
-                   const TileCostModel &model);
 
 } // namespace sofa
 

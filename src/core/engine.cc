@@ -8,7 +8,6 @@
 #include "core/sads.h"
 #include "core/sufa.h"
 #include "sparsity/mask.h"
-#include "tensor/kernels.h"
 
 namespace sofa {
 
@@ -34,15 +33,6 @@ struct EngineState
     std::vector<SadsResult> sads;       ///< SADS stage output
     std::vector<HeadResult> heads;      ///< results being assembled
     std::vector<char> cancelled;        ///< per-task cancel flags
-
-    /** Tile knobs this run executes under (config-derived fixed
-     * values, the config's explicit fixedPlan, or planTiles() when
-     * autoTiled). */
-    TilePlan plan;
-    /** Whether `plan` came from the planner or a fixedPlan (then
-     * step() also installs the plan's kernel tiling for the stage's
-     * duration). */
-    bool applyTiling = false;
 };
 
 namespace {
@@ -115,30 +105,27 @@ unitCosts(const EngineState &st, const std::vector<RowUnit> &units)
 
 /**
  * Shard @p order.size() units across the pool, one fn(unit_id) call
- * per unit, via the config's scheduler. @p grain units are claimed
- * per scheduler grab (the plan's shardGrain for row-tiled stages, 1
- * for whole-head stages). Dynamic mode claims units off the pool's
- * atomic chunk counter in @p order; static mode runs the classic
- * near-equal contiguous split over the same order.
+ * per unit, via the config's scheduler. Grain is 1: units are whole
+ * heads or row tiles, both heavyweight. Dynamic mode claims units
+ * off the pool's atomic chunk counter in @p order; static mode runs
+ * the classic near-equal contiguous split over the same order.
  */
 template <typename Fn>
 void
 forEachUnit(EngineState &st, const std::vector<std::size_t> &order,
-            int grain, const Fn &fn)
+            const Fn &fn)
 {
     if (order.empty())
         return;
-    const std::size_t g =
-        static_cast<std::size_t>(std::max(1, grain));
     const auto body = [&fn, &order](std::size_t b, std::size_t e,
                                     int) {
         for (std::size_t u = b; u < e; ++u)
             fn(order[u]);
     };
     if (st.cfg.dynamicSharding)
-        st.pool.parallelForDynamic(order.size(), g, body);
+        st.pool.parallelForDynamic(order.size(), 1, body);
     else
-        st.pool.parallelFor(order.size(), g, body);
+        st.pool.parallelFor(order.size(), 1, body);
 }
 
 /** Unit order for a stage: cost-sorted when dynamic, natural when
@@ -154,15 +141,15 @@ stageOrder(const EngineState &st, std::vector<double> cost)
     return order;
 }
 
-/** Row tiles of every head, in (head, row) order, @p tile_rows rows
- * per unit clamped to each head's actual row count — a tiny head
- * yields exactly one full-range shard instead of an oversized tile
- * request distorting the unit accounting. */
+/** Row tiles of every head, in (head, row) order, the config's
+ * rowTile rows per unit clamped to each head's actual row count — a
+ * tiny head yields exactly one full-range shard instead of an
+ * oversized tile request distorting the unit accounting. */
 std::vector<RowUnit>
-rowUnits(const EngineState &st, int tile_rows)
+rowUnits(const EngineState &st)
 {
     const std::size_t requested = static_cast<std::size_t>(
-        std::max(1, tile_rows));
+        std::max(1, st.cfg.rowTile));
     std::vector<RowUnit> units;
     for (std::size_t i = 0; i < st.tasks.size(); ++i) {
         const std::size_t rows = st.tasks[i].workload->q.rows();
@@ -175,31 +162,6 @@ rowUnits(const EngineState &st, int tile_rows)
     return units;
 }
 
-/** Shape summary of a task list for the planner: maxima over heads
- * (the long pole is what the makespan model cares about), cache
- * depth from the shallowest head (conservative on generation). */
-TileShape
-taskShape(const std::vector<HeadTask> &tasks, double topk_frac)
-{
-    TileShape s;
-    s.headTasks = static_cast<int>(tasks.size());
-    s.rowsPerHead = 0;
-    s.contextLen = 0;
-    s.pastLen = tasks.empty() ? 0 : tasks.front().pastLen;
-    for (const HeadTask &t : tasks) {
-        s.rowsPerHead = std::max(
-            s.rowsPerHead, static_cast<int>(t.workload->q.rows()));
-        s.contextLen = std::max(s.contextLen, t.workload->spec.seq);
-        s.headDim = t.workload->spec.headDim;
-        s.tokenDim = t.workload->spec.tokenDim;
-        s.pastLen = std::min(s.pastLen, t.pastLen);
-    }
-    s.rowsPerHead = std::max(1, s.rowsPerHead);
-    s.contextLen = std::max(1, s.contextLen);
-    s.topkFrac = topk_frac;
-    return s;
-}
-
 /** Stage 1: DLZS prediction (K-hat then A-hat), one unit per head. */
 class DlzsStage : public Stage
 {
@@ -209,7 +171,7 @@ class DlzsStage : public Stage
     void
     run(EngineState &st) const override
     {
-        forEachUnit(st, stageOrder(st, headCosts(st)), 1,
+        forEachUnit(st, stageOrder(st, headCosts(st)),
                     [&st](std::size_t i) {
                         if (st.cancelled[i])
                             return;
@@ -232,11 +194,9 @@ class SadsStage : public Stage
     void
     run(EngineState &st) const override
     {
-        const std::vector<RowUnit> units =
-            rowUnits(st, st.plan.sadsSpan);
+        const std::vector<RowUnit> units = rowUnits(st);
         std::vector<OpCounter> unit_ops(units.size());
         forEachUnit(st, stageOrder(st, unitCosts(st, units)),
-                    st.plan.shardGrain,
                     [&](std::size_t u) {
                         const RowUnit &ru = units[u];
                         if (st.cancelled[ru.head])
@@ -269,7 +229,7 @@ class KvStage : public Stage
     void
     run(EngineState &st) const override
     {
-        forEachUnit(st, stageOrder(st, headCosts(st)), 1,
+        forEachUnit(st, stageOrder(st, headCosts(st)),
                     [&st](std::size_t i) {
             if (st.cancelled[i])
                 return;
@@ -310,13 +270,11 @@ class SufaStage : public Stage
             st.heads[i].result.output =
                 MatF(w.q.rows(), w.q.cols(), 0.0f);
         }
-        const std::vector<RowUnit> units =
-            rowUnits(st, st.plan.rowTile);
+        const std::vector<RowUnit> units = rowUnits(st);
         std::vector<OpCounter> unit_ops(units.size());
         std::vector<std::int64_t> unit_viol(units.size(), 0);
         std::vector<std::int64_t> unit_tiles(units.size(), 0);
         forEachUnit(st, stageOrder(st, unitCosts(st, units)),
-                    st.plan.shardGrain,
                     [&](std::size_t u) {
             const RowUnit &ru = units[u];
             if (st.cancelled[ru.head])
@@ -349,7 +307,7 @@ class QualityStage : public Stage
     {
         if (!st.cfg.computeQuality)
             return;
-        forEachUnit(st, stageOrder(st, headCosts(st)), 1,
+        forEachUnit(st, stageOrder(st, headCosts(st)),
                     [&st](std::size_t i) {
                         if (st.cancelled[i])
                             return;
@@ -367,12 +325,6 @@ Engine::Engine(EngineConfig cfg) : cfg_(cfg)
     SOFA_ASSERT(cfg_.pipeline.topkFrac > 0.0 &&
                 cfg_.pipeline.topkFrac <= 1.0);
     SOFA_ASSERT(cfg_.rowTile >= 1);
-    if (cfg_.fixedPlan) {
-        const TilePlan &p = *cfg_.fixedPlan;
-        SOFA_ASSERT(p.rowTile >= 1 && p.sadsSpan >= 1 &&
-                    p.shardGrain >= 1 && p.panelBytes > 0 &&
-                    p.blockK > 0 && p.blockK % 4 == 0);
-    }
     stages_.push_back(std::make_unique<DlzsStage>());
     stages_.push_back(std::make_unique<SadsStage>());
     stages_.push_back(std::make_unique<KvStage>());
@@ -423,30 +375,13 @@ EngineRun::EngineRun(const Engine &engine, std::vector<HeadTask> tasks)
     ThreadPool &pool =
         cfg.pool != nullptr ? *cfg.pool : ThreadPool::instance();
     state_ = std::make_unique<EngineState>(
-        EngineState{cfg, pool, tasks_, {}, {}, {}, {}, {},
-                    TilePlan{}, false});
+        EngineState{cfg, pool, tasks_, {}, {}, {}, {}, {}});
     EngineState &st = *state_;
     st.keep.resize(tasks_.size());
     st.preds.resize(tasks_.size());
     st.sads.resize(tasks_.size());
     st.heads.resize(tasks_.size());
     st.cancelled.assign(tasks_.size(), 0);
-    // Resolve the run's tile plan: the config's fixed knobs by
-    // default (rowTile doubles as the SADS span, the historical
-    // behavior), an explicit fixedPlan verbatim, or planTiles() over
-    // the task list's shape when autoTile is in effect. Either way
-    // the plan is fixed before the first stage runs, so a run's
-    // sharding is self-consistent.
-    st.plan.rowTile = cfg.rowTile;
-    st.plan.sadsSpan = cfg.rowTile;
-    if (cfg.fixedPlan) {
-        st.plan = *cfg.fixedPlan;
-        st.applyTiling = true;
-    } else if (autoTileEnabled(cfg.autoTile) && !tasks_.empty()) {
-        st.plan = planTiles(
-            taskShape(tasks_, cfg.pipeline.topkFrac));
-        st.applyTiling = true;
-    }
     for (std::size_t i = 0; i < tasks_.size(); ++i) {
         const HeadTask &t = tasks_[i];
         SOFA_ASSERT(t.workload != nullptr);
@@ -480,28 +415,11 @@ EngineRun::nextStageName() const
     return done() ? nullptr : engine_.stages_[next_]->name();
 }
 
-const TilePlan &
-EngineRun::plan() const
-{
-    return state_->plan;
-}
-
 void
 EngineRun::step()
 {
     SOFA_ASSERT(!done());
-    if (state_->applyTiling) {
-        // Install the plan's kernel tiling for this stage's kernel
-        // calls. Any tiling is bit-exact, so a concurrent run seeing
-        // it mid-stage computes identical results regardless.
-        kernels::Tiling t;
-        t.panelBytes = state_->plan.panelBytes;
-        t.blockK = state_->plan.blockK;
-        kernels::ScopedTiling scoped(t);
-        engine_.stages_[next_]->run(*state_);
-    } else {
-        engine_.stages_[next_]->run(*state_);
-    }
+    engine_.stages_[next_]->run(*state_);
     ++next_;
 }
 

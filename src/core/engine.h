@@ -38,12 +38,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.h"
-#include "core/tiler.h"
 #include "model/model_workload.h"
 
 namespace sofa {
@@ -58,25 +56,6 @@ struct EngineConfig
      * head's actual row count before sharding; smaller tiles expose
      * more parallelism, results never depend on it. */
     int rowTile = 64;
-    /**
-     * Plan the tile knobs per run with core/tiler: the run's shape
-     * (from its task list) and the detected machine descriptor pick
-     * the kernel panel/block sizes, the SU-FA row tile, the SADS
-     * span and the shard grain via planTiles(). Subject to the
-     * SOFA_AUTOTILE=0|1 override (autoTileEnabled). Off (default):
-     * rowTile above and the kernels' default tiling apply. Every
-     * plannable knob is results-neutral, so both modes are bit-exact
-     * vs each other.
-     */
-    bool autoTile = false;
-    /**
-     * Explicit tile plan: run every stage under exactly this plan
-     * (bench_tiler's per-candidate measurement, the grid
-     * bit-exactness property test, and schedulers that planned per
-     * request class via planForRequest). Takes precedence over
-     * autoTile and rowTile.
-     */
-    std::optional<TilePlan> fixedPlan;
     /**
      * Shard stage units with the pool's dynamic (work-stealing)
      * scheduler, visiting units heaviest-first by a per-unit cost
@@ -194,10 +173,6 @@ class EngineRun
     EngineRun &operator=(const EngineRun &) = delete;
 
     std::size_t stageCount() const;
-    /** The tile plan this run executes under: the planner's choice
-     * when the config's autoTile is in effect, otherwise the
-     * config-derived fixed knobs. */
-    const TilePlan &plan() const;
     /** Index of the stage the next step() will execute. */
     std::size_t nextStage() const { return next_; }
     /** Name of that stage; nullptr once every stage has run. */

@@ -14,8 +14,8 @@
  *  - EngineBackend: N independent core/engine instances, each with
  *    its *own* explicit common/threadpool (never the process-wide
  *    default — mutating that from one backend would cross-talk into
- *    every other, the latent ScopedDefaultThreads hazard) and its
- *    own auto-tile plan. The measured, bit-exact executor.
+ *    every other, the latent ScopedDefaultThreads hazard). The
+ *    measured, bit-exact executor.
  *  - SimBackend: results computed by a hidden reference engine
  *    (bit-exact vs Engine::run by construction), latency charged
  *    from the arch/accelerator cycle model per head task.
@@ -198,7 +198,7 @@ EngineConfig scaledKeepConfig(const EngineConfig &base,
 /** EngineBackend knobs. */
 struct EngineBackendConfig
 {
-    /** The wrapped engine (pipeline, rowTile, autoTile plan...). */
+    /** The wrapped engine (pipeline, rowTile, sharding...). */
     EngineConfig engine;
     /**
      * Size of the backend-owned explicit ThreadPool. > 0: the

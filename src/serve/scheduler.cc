@@ -129,24 +129,6 @@ degradedEngineConfig(const SchedulerConfig &cfg)
     return scaledKeepConfig(cfg.engine, cfg.degradeKeepFactor);
 }
 
-TilePlan
-planForRequest(const SchedulerConfig &cfg, const Request &r)
-{
-    TilePlan plan;
-    plan.rowTile = cfg.engine.rowTile;
-    plan.sadsSpan = cfg.engine.rowTile;
-    plan.prefillChunkRows = cfg.prefillChunkRows;
-    if (!autoTileEnabled(cfg.engine.autoTile))
-        return plan;
-    plan = planTiles(
-        tileShape(r.work, cfg.engine.pipeline.topkFrac));
-    plan.prefillChunkRows = 0;
-    const int rows = r.work.queryRows();
-    if (!r.work.isDecode() && rows > 4 * plan.rowTile)
-        plan.prefillChunkRows = 4 * plan.rowTile;
-    return plan;
-}
-
 /** Per-request in-flight state while its batch is being served.
  * Deadline state lives on the PendingRequest (resolved at submit,
  * where EDF also reads it). */

@@ -207,19 +207,6 @@ AttentionWorkload sliceQueryRows(const AttentionWorkload &w, int r0,
  */
 EngineConfig degradedEngineConfig(const SchedulerConfig &cfg);
 
-/**
- * Tile plan for one admitted request's class: the core/tiler
- * planTiles() choice over the request's workload shape (decode and
- * prefill shapes plan separately) when the engine config's autoTile
- * is in effect, otherwise the config's fixed knobs. For chunkable
- * prefills (autoTile on, rows well past the planned row tile) the
- * plan also carries a prefillChunkRows suggestion — four planned row
- * tiles per chunk, so every chunk still shards across the pool;
- * advisory only, because chunked DLZS is not bit-exact vs unchunked.
- */
-TilePlan planForRequest(const SchedulerConfig &cfg,
-                        const Request &r);
-
 /** Counter snapshot (monotonic over the scheduler's lifetime). */
 struct SchedulerStats
 {

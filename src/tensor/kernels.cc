@@ -1,55 +1,10 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/threadpool.h"
 
 namespace sofa {
-
-namespace kernels {
-
-namespace {
-
-std::atomic<std::size_t> g_panel_bytes{kPanelBytes};
-std::atomic<std::size_t> g_block_k{kBlockK};
-std::atomic<std::size_t> g_transpose_tile{kTransposeTile};
-
-} // namespace
-
-Tiling
-activeTiling()
-{
-    Tiling t;
-    t.panelBytes = g_panel_bytes.load(std::memory_order_relaxed);
-    t.blockK = g_block_k.load(std::memory_order_relaxed);
-    t.transposeTile =
-        g_transpose_tile.load(std::memory_order_relaxed);
-    return t;
-}
-
-Tiling
-setTiling(const Tiling &t)
-{
-    SOFA_ASSERT(t.panelBytes > 0 && t.transposeTile > 0);
-    SOFA_ASSERT(t.blockK > 0 && t.blockK % 4 == 0);
-    Tiling prev = activeTiling();
-    g_panel_bytes.store(t.panelBytes, std::memory_order_relaxed);
-    g_block_k.store(t.blockK, std::memory_order_relaxed);
-    g_transpose_tile.store(t.transposeTile,
-                           std::memory_order_relaxed);
-    return prev;
-}
-
-std::size_t
-panelRows(std::size_t row_floats)
-{
-    return panelRowsFor(row_floats,
-                        g_panel_bytes.load(
-                            std::memory_order_relaxed));
-}
-
-} // namespace kernels
 
 namespace {
 
@@ -112,9 +67,8 @@ matmulRows(const MatF &a, const MatF &b, MatF &c, std::size_t r0,
 {
     const std::size_t K = a.cols();
     const std::size_t N = b.cols();
-    const std::size_t block_k = kernels::activeTiling().blockK;
-    for (std::size_t k0 = 0; k0 < K; k0 += block_k) {
-        const std::size_t k1 = std::min(K, k0 + block_k);
+    for (std::size_t k0 = 0; k0 < K; k0 += kernels::kBlockK) {
+        const std::size_t k1 = std::min(K, k0 + kernels::kBlockK);
         for (std::size_t i = r0; i < r1; ++i) {
             const float *ai = a.rowPtr(i);
             float *ci = c.rowPtr(i);
@@ -218,7 +172,7 @@ MatF
 transposeBlocked(const MatF &a)
 {
     MatF t(a.cols(), a.rows());
-    const std::size_t tile = kernels::activeTiling().transposeTile;
+    const std::size_t tile = kernels::kTransposeTile;
     for (std::size_t i0 = 0; i0 < a.rows(); i0 += tile) {
         const std::size_t i1 = std::min(a.rows(), i0 + tile);
         for (std::size_t j0 = 0; j0 < a.cols(); j0 += tile) {

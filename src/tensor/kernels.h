@@ -31,73 +31,29 @@ namespace sofa {
 namespace kernels {
 
 /**
- * Default blocking parameters. Chosen for a generic desktop/CI class
- * machine (32 KiB L1D, >= 256 KiB private L2): the panel of the
+ * Compile-time blocking parameters. Chosen for a generic desktop/CI
+ * class machine (32 KiB L1D, >= 256 KiB private L2): the panel of the
  * streamed operand is kept near kPanelBytes so it survives in L2
- * across an entire sweep of the other operand's rows. These are the
- * defaults of the runtime Tiling below, so callers that never touch
- * the tiler see exactly the historical behavior.
+ * across an entire sweep of the other operand's rows.
  */
 inline constexpr std::size_t kPanelBytes = 256 * 1024;
 
-/** Default k-extent of the B panel held hot across rows in matmul. */
+/** k-extent of the B panel held hot across rows in matmul. */
 inline constexpr std::size_t kBlockK = 256;
 
-/** Default square tile edge for the cache-oblivious-ish transpose. */
+/** Square tile edge for the cache-oblivious-ish transpose. */
 inline constexpr std::size_t kTransposeTile = 32;
 
-/**
- * Runtime blocking parameters, settable by the tile planner
- * (core/tiler). Every choice is bit-exact vs the defaults by
- * construction: panelBytes and transposeTile only reorder loop
- * sweeps (each output element is still produced by one unchanged
- * computation), and blockK is constrained to a multiple of 4 — the
- * matmul unroll width — so the accumulation groups land on the same
- * absolute k boundaries for any value. The active tiling is stored
- * in process-wide atomics read per kernel call; flip it between
- * runs, not concurrently with one (a racing flip is still safe and
- * still bit-exact, it just makes the perf attribution mushy).
- */
-struct Tiling
-{
-    std::size_t panelBytes = kPanelBytes;
-    std::size_t blockK = kBlockK; ///< must be a multiple of 4
-    std::size_t transposeTile = kTransposeTile;
-};
-
-/** The tiling the kernels currently read. */
-Tiling activeTiling();
-
-/** Install @p t (asserts blockK % 4 == 0 and nonzero fields);
- * returns the previous tiling. */
-Tiling setTiling(const Tiling &t);
-
-/** RAII tiling override (benches, the autoTile engine path). */
-class ScopedTiling
-{
-  public:
-    explicit ScopedTiling(const Tiling &t) : prev_(setTiling(t)) {}
-    ~ScopedTiling() { setTiling(prev_); }
-    ScopedTiling(const ScopedTiling &) = delete;
-    ScopedTiling &operator=(const ScopedTiling &) = delete;
-
-  private:
-    Tiling prev_;
-};
-
-/** Rows of a panel whose rows are @p row_floats floats wide such
- * that the panel stays near @p panel_bytes (clamped to [16, 512]). */
+/** Rows of a panel whose rows are @p row_floats floats wide such that
+ * the panel stays near kPanelBytes (clamped to [16, 512]). */
 constexpr std::size_t
-panelRowsFor(std::size_t row_floats, std::size_t panel_bytes)
+panelRows(std::size_t row_floats)
 {
     const std::size_t bytes =
         (row_floats > 0 ? row_floats : 1) * sizeof(float);
-    const std::size_t rows = panel_bytes / bytes;
+    const std::size_t rows = kPanelBytes / bytes;
     return rows < 16 ? 16 : (rows > 512 ? 512 : rows);
 }
-
-/** panelRowsFor over the active tiling's panelBytes. */
-std::size_t panelRows(std::size_t row_floats);
 
 } // namespace kernels
 

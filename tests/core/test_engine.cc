@@ -229,38 +229,6 @@ TEST(Engine, RowsSmallerThanRowTileClamp)
         expectSameResult(hr.result,
                          runSofaPipeline(mw.head(hr.batch, hr.head),
                                          cfg.pipeline));
-    // Same under an explicit plan whose row knobs are all oversized.
-    EngineConfig planned;
-    TilePlan big;
-    big.rowTile = 1 << 20;
-    big.sadsSpan = 1 << 20;
-    big.shardGrain = 64;
-    planned.fixedPlan = big;
-    const EngineResult ep = runEngine(mw, planned);
-    ASSERT_EQ(ep.heads.size(), er.heads.size());
-    for (std::size_t i = 0; i < ep.heads.size(); ++i)
-        expectSameResult(ep.heads[i].result, er.heads[i].result);
-}
-
-TEST(Engine, AutoTileForcedOnStaysBitExact)
-{
-    // SOFA_AUTOTILE=1 plans runs even when the config leaves
-    // autoTile off; every plan is results-neutral, so forcing the
-    // planner can never change outputs or counts.
-    const auto mw = generateModelWorkload(gridSpec());
-    EngineConfig cfg; // autoTile off
-    EngineResult base;
-    {
-        ScopedAutoTile off(0);
-        base = runEngine(mw, cfg);
-    }
-    ScopedAutoTile on(1);
-    const EngineResult forced = runEngine(mw, cfg);
-    ASSERT_EQ(forced.heads.size(), base.heads.size());
-    for (std::size_t i = 0; i < forced.heads.size(); ++i)
-        expectSameResult(forced.heads[i].result,
-                         base.heads[i].result);
-    EXPECT_EQ(forced.totalOps().total(), base.totalOps().total());
 }
 
 TEST(Engine, QualityStageSkippable)

@@ -45,41 +45,6 @@ makeRequest(std::uint64_t id, const ModelWorkloadSpec &work)
     return r;
 }
 
-TEST(Scheduler, PlanForRequestFollowsAutoTileSetting)
-{
-    SchedulerConfig cfg;
-    cfg.engine.rowTile = 24;
-    cfg.prefillChunkRows = 32;
-    const Request prefill = makeRequest(1, prefillSpec());
-    {
-        // Planner off: the config's fixed knobs pass through.
-        ScopedAutoTile off(0);
-        const TilePlan p = planForRequest(cfg, prefill);
-        EXPECT_EQ(p.rowTile, 24);
-        EXPECT_EQ(p.sadsSpan, 24);
-        EXPECT_EQ(p.prefillChunkRows, 32);
-        EXPECT_EQ(p, planForRequest(cfg, prefill)); // deterministic
-    }
-    ScopedAutoTile on(1);
-    const TilePlan p = planForRequest(cfg, prefill);
-    EXPECT_GE(p.rowTile, 1);
-    EXPECT_LE(p.rowTile, prefill.work.queryRows());
-    EXPECT_EQ(p.blockK % 4, 0u);
-    // Chunk suggestion only for prefills long enough to split into
-    // multiple planned tiles (8 rows never is), never for decodes.
-    EXPECT_EQ(p.prefillChunkRows, 0);
-    ModelWorkloadSpec long_prefill = prefillSpec();
-    long_prefill.queries = 512;
-    const TilePlan lp =
-        planForRequest(cfg, makeRequest(2, long_prefill));
-    if (512 > 4 * lp.rowTile) {
-        EXPECT_EQ(lp.prefillChunkRows, 4 * lp.rowTile);
-    }
-    const TilePlan dp =
-        planForRequest(cfg, makeRequest(3, decodeSpec()));
-    EXPECT_EQ(dp.prefillChunkRows, 0);
-}
-
 /** Alternating prefill/decode trace with decorrelated seeds. */
 std::vector<Request>
 mixedMiniTrace(int n)
