@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
+
+#include "common/logging.h"
 
 namespace sofa {
 
@@ -36,10 +40,12 @@ envThreads()
     const int forced = g_default_threads.load();
     if (forced >= 1)
         return std::min(forced, 256);
-    if (const char *e = std::getenv("SOFA_NUM_THREADS")) {
-        const int v = std::atoi(e);
-        if (v >= 1)
-            return std::min(v, 256);
+    const char *var = "SOFA_NUM_THREADS";
+    try {
+        if (const int env = parseThreadCount(std::getenv(var)))
+            return env;
+    } catch (const std::invalid_argument &e) {
+        fatal("%s: %s", var, e.what());
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
@@ -428,6 +434,27 @@ grainForRowCost(double flops_per_row)
     if (rows <= 1.0)
         return 1;
     return static_cast<std::size_t>(rows);
+}
+
+int
+parseThreadCount(const char *text)
+{
+    if (text == nullptr || *text == '\0')
+        return 0;
+    int count = 0;
+    for (const char *c = text; *c != '\0'; ++c) {
+        if (*c < '0' || *c > '9')
+            throw std::invalid_argument(
+                std::string("expected a thread count >= 1, got '") +
+                text + "'");
+        // Saturate well above the clamp so long inputs cannot overflow.
+        count = std::min(count * 10 + (*c - '0'), 1000);
+    }
+    if (count < 1)
+        throw std::invalid_argument(
+            std::string("thread count must be >= 1, got '") + text +
+            "'");
+    return std::min(count, 256);
 }
 
 } // namespace sofa

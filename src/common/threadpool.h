@@ -8,10 +8,11 @@
  * with integer addition, which is order-independent).
  *
  * The pool honors SOFA_NUM_THREADS (falling back to
- * std::thread::hardware_concurrency) and degrades to a plain serial
- * call when the trip count is too small to amortize a dispatch, when
- * the pool has a single thread, or inside an already-parallel region
- * (nested parallelism runs inline rather than deadlocking).
+ * std::thread::hardware_concurrency; a malformed value is fatal, see
+ * parseThreadCount) and degrades to a plain serial call when the
+ * trip count is too small to amortize a dispatch, when the pool has
+ * a single thread, or inside an already-parallel region (nested
+ * parallelism runs inline rather than deadlocking).
  *
  * parallelFor splits the range into one static near-equal shard per
  * participant; parallelForDynamic instead fixes a grain-sized chunk
@@ -70,7 +71,8 @@ class ThreadPool
     /**
      * Process-wide pool, created on first use. Thread count comes
      * from setDefaultThreads when called (>= 1), else
-     * SOFA_NUM_THREADS when set (>= 1), else hardware_concurrency.
+     * SOFA_NUM_THREADS when set (parseThreadCount; malformed is
+     * fatal), else hardware_concurrency.
      */
     static ThreadPool &instance();
 
@@ -276,6 +278,15 @@ void parallelForRows(std::size_t n, std::size_t grain,
  * the serial path).
  */
 std::size_t grainForRowCost(double flops_per_row);
+
+/**
+ * Parse a SOFA_NUM_THREADS value: plain decimal digits denoting a
+ * count >= 1, clamped to 256. Returns 0 (unset) for a null or empty
+ * value; throws std::invalid_argument for anything else — zero,
+ * signs, spaces, trailing characters — so a malformed value is
+ * rejected, never misread.
+ */
+int parseThreadCount(const char *text);
 
 } // namespace sofa
 

@@ -1,9 +1,9 @@
 #include "core/sads.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstring>
+#include <functional>
 #include <limits>
-#include <numeric>
 
 #include "common/bits.h"
 #include "common/logging.h"
@@ -25,108 +25,164 @@ SadsResult::selections() const
 
 namespace {
 
-/** Candidate entry: (value, index). */
-struct Cand
-{
-    float value;
-    int index;
+/**
+ * A candidate as one integer whose ascending order is SADS selection
+ * order: value descending (-0 equal to +0), then index ascending.
+ * The high word holds the value's bits flipped into a descending
+ * total order, the low word the column index, so the per-segment
+ * partitions, the row sort and the refinement test are all plain
+ * integer compares. Rows must be NaN-free: NaN has no place in the
+ * order.
+ */
+using Key = std::uint64_t;
 
-    bool
-    operator<(const Cand &o) const
-    {
-        if (value != o.value)
-            return value > o.value; // descending
-        return index < o.index;
-    }
+/** High word of a key: equal for equal values, smaller for larger. */
+inline std::uint32_t
+valueRank(float v)
+{
+    std::uint32_t u;
+    std::memcpy(&u, &v, sizeof u);
+    if (u == 0x80000000u) // -0 ranks with +0
+        u = 0;
+    return (u & 0x80000000u) ? u : (~u & 0x7FFFFFFFu);
+}
+
+inline Key
+makeKey(float v, int index)
+{
+    return (static_cast<Key>(valueRank(v)) << 32) |
+           static_cast<std::uint32_t>(index);
+}
+
+inline std::uint32_t
+keyRank(Key key)
+{
+    return static_cast<std::uint32_t>(key >> 32);
+}
+
+inline int
+keyIndex(Key key)
+{
+    return static_cast<int>(static_cast<std::uint32_t>(key));
+}
+
+/** Buffers reused across every row and segment of one call. */
+struct Scratch
+{
+    std::vector<Key> survivors;      ///< one segment's survivors
+    std::vector<std::int32_t> chunk; ///< clip-filter output, one chunk
+    std::vector<float> best;         ///< min-heap: segment's m best
+    std::vector<Key> selected;       ///< row: every segment's top-m
+    std::vector<Key> excluded;       ///< row: next-m's + trim overflow
 };
 
 /**
- * One sub-segment's local selection with the iterative 16-to-4 core.
- * Returns the segment's top-m candidates (descending), the elements
- * it clipped, and its best excluded candidate (for refinement).
+ * Adaptive clipping (Threshold Updating unit) over one segment, one
+ * sorter chunk at a time. The threshold max(runningMax - r, lowBound)
+ * only advances after a chunk is merged into the top-m buffer, so it
+ * is constant across a chunk and the filter is one SIMD compare +
+ * compress sweep (tensor/simd.h) whose survivor order matches the
+ * scalar left-to-right filter. lowBound is the minimum of the full
+ * top-m buffer, i.e. the m-th best survivor value so far, tracked in
+ * a size-m min-heap. Appends the survivors to s.survivors, charges
+ * one 16-to-4 pass per non-empty chunk, returns the clipped count.
  */
-struct SegmentResult
+std::int64_t
+clipSegment(const float *row, int lo, int hi, int m,
+            const SadsConfig &cfg, float row_span, OpCounter &ops,
+            Scratch &s)
 {
-    std::vector<Cand> selected;  ///< up to m, descending
-    std::vector<Cand> excluded;  ///< survivors that did not make it
-    std::int64_t clipped = 0;
-};
-
-SegmentResult
-segmentTopM(const float *row, int lo, int hi, int m,
-            const SadsConfig &cfg, float row_span, OpCounter &ops)
-{
-    SegmentResult res;
-    const int len = hi - lo;
-    if (len <= 0 || m <= 0)
-        return res;
-
-    // Adaptive clipping threshold state (Threshold Updating unit).
-    float running_max = -std::numeric_limits<float>::infinity();
-    float low_bound = -std::numeric_limits<float>::infinity();
-    const bool clip_enabled = cfg.radiusFrac < 1.0;
+    constexpr float kNegInf = -std::numeric_limits<float>::infinity();
     const float radius = static_cast<float>(cfg.radiusFrac) * row_span;
-
-    std::vector<Cand> buffer; // sorted descending, holds top-m so far
-    buffer.reserve(m + cfg.sorterInputs);
-    std::vector<Cand> batch;
-    batch.reserve(cfg.sorterInputs);
-    std::vector<std::int32_t> survivors(
-        static_cast<std::size_t>(cfg.sorterInputs));
-
-    int pos = lo;
-    while (pos < hi) {
-        const int chunk = std::min(cfg.sorterInputs, hi - pos);
-        // The clip threshold is constant across a sorter chunk —
-        // running_max and low_bound only advance after the batch
-        // merge below — which is what lets the filter run as one
-        // SIMD compare + compress sweep (tensor/simd.h) instead of
-        // a per-element branch. Survivor order and count match the
-        // scalar left-to-right filter exactly.
-        float threshold = -std::numeric_limits<float>::infinity();
-        if (clip_enabled &&
-            running_max > -std::numeric_limits<float>::infinity()) {
-            threshold = std::max(running_max - radius, low_bound);
-        }
-        ops.cmpN(chunk); // clip filter compare, one per element
+    float running_max = kNegInf;
+    float low_bound = kNegInf;
+    std::vector<float> &best = s.best;
+    best.clear();
+    std::int64_t clipped = 0;
+    std::int64_t passes = 0;
+    for (int pos = lo, chunk = 0; pos < hi; pos += chunk) {
+        chunk = std::min(cfg.sorterInputs, hi - pos);
+        const float threshold =
+            running_max > kNegInf
+                ? std::max(running_max - radius, low_bound)
+                : kNegInf;
         const std::size_t kept = simd::scanSurvivors(
             row + pos, static_cast<std::size_t>(chunk), threshold,
-            survivors.data());
-        res.clipped += chunk - static_cast<std::int64_t>(kept);
-        batch.clear();
-        for (std::size_t s = 0; s < kept; ++s) {
-            const int idx = pos + survivors[s];
-            batch.push_back({row[idx], idx});
-        }
-        pos += chunk;
-        if (batch.empty())
+            s.chunk.data());
+        clipped += chunk - static_cast<std::int64_t>(kept);
+        if (kept == 0)
             continue;
-
-        // One 16-to-4 bitonic pass merges the batch with the current
-        // buffer head; comparator count charged per pass.
-        ops.cmpN(cfg.sorterComparators);
-        for (const Cand &c : batch) {
-            buffer.push_back(c);
-            running_max = std::max(running_max, c.value);
+        ++passes;
+        for (std::size_t i = 0; i < kept; ++i) {
+            const int idx = pos + s.chunk[i];
+            const float v = row[idx];
+            s.survivors.push_back(makeKey(v, idx));
+            running_max = std::max(running_max, v);
+            if (static_cast<int>(best.size()) < m) {
+                best.push_back(v);
+                std::push_heap(best.begin(), best.end(),
+                               std::greater<float>());
+            } else if (v > best.front()) {
+                std::pop_heap(best.begin(), best.end(),
+                              std::greater<float>());
+                best.back() = v;
+                std::push_heap(best.begin(), best.end(),
+                               std::greater<float>());
+            }
         }
-        std::sort(buffer.begin(), buffer.end());
-        if (static_cast<int>(buffer.size()) > m) {
-            // Overflowed entries become excluded candidates.
-            for (std::size_t i = m; i < buffer.size(); ++i)
-                res.excluded.push_back(buffer[i]);
-            buffer.resize(m);
-        }
-        if (static_cast<int>(buffer.size()) == m)
-            low_bound = buffer.back().value;
+        if (static_cast<int>(best.size()) == m)
+            low_bound = best.front();
     }
+    ops.cmpN(passes * cfg.sorterComparators);
+    return clipped;
+}
 
-    res.selected = std::move(buffer);
-    // Keep only the strongest excluded candidates; hardware retains a
-    // handful for the refinement exchange.
-    std::sort(res.excluded.begin(), res.excluded.end());
-    if (static_cast<int>(res.excluded.size()) > m)
-        res.excluded.resize(m);
-    return res;
+/**
+ * One sub-segment's local selection. The iterative 16-to-4 core
+ * merges each chunk's survivors into a top-m buffer and spills the
+ * overflow as excluded candidates, so what it ends with is exactly
+ * the segment's top-m survivors, and the m strongest spilled ones
+ * (all the refinement keeps) are exactly the next m. Both come from
+ * two partitions here; the sorter's cost is charged in closed form.
+ * Appends the top-m to s.selected and the next m to s.excluded, both
+ * unordered, and returns the clipped count.
+ */
+std::int64_t
+segmentTopM(const float *row, int lo, int hi, int m,
+            const SadsConfig &cfg, float row_span, OpCounter &ops,
+            Scratch &s)
+{
+    const int len = hi - lo;
+    if (len <= 0 || m <= 0)
+        return 0;
+    ops.cmpN(len); // clip filter compare, one per element
+    std::vector<Key> &cand = s.survivors;
+    cand.clear();
+    std::int64_t clipped = 0;
+    if (cfg.radiusFrac < 1.0) {
+        clipped = clipSegment(row, lo, hi, m, cfg, row_span, ops, s);
+    } else {
+        // Clipping off: everything survives, every chunk is a pass.
+        ops.cmpN(ceilDiv(len, cfg.sorterInputs) *
+                 cfg.sorterComparators);
+        cand.resize(static_cast<std::size_t>(len));
+        for (int i = 0; i < len; ++i)
+            cand[static_cast<std::size_t>(i)] =
+                makeKey(row[lo + i], lo + i);
+    }
+    const std::size_t top =
+        std::min(static_cast<std::size_t>(m), cand.size());
+    const std::size_t next =
+        std::min(static_cast<std::size_t>(m), cand.size() - top);
+    const auto first = cand.begin();
+    if (cand.size() > top + next)
+        std::nth_element(first, first + (top + next), cand.end());
+    if (next > 0)
+        std::nth_element(first, first + top, first + (top + next));
+    s.selected.insert(s.selected.end(), first, first + top);
+    s.excluded.insert(s.excluded.end(), first + top,
+                      first + (top + next));
+    return clipped;
 }
 
 } // namespace
@@ -144,7 +200,10 @@ sadsTopKRows(const MatF &scores, int k, const SadsConfig &cfg,
     const int n = std::min(cfg.segments, std::max(1, S));
     const int keep = std::min(k, S);
     const int per_seg = static_cast<int>(ceilDiv(keep, n));
+    const std::size_t keep_n = static_cast<std::size_t>(std::max(keep, 0));
 
+    Scratch s;
+    s.chunk.resize(static_cast<std::size_t>(cfg.sorterInputs));
     OpCounter &result_ops = *ops;
     for (std::size_t r = row_begin; r < row_end; ++r) {
         const float *row = scores.rowPtr(r);
@@ -158,54 +217,54 @@ sadsTopKRows(const MatF &scores, int k, const SadsConfig &cfg,
         const float span = std::max(mx - mn, 1e-6f);
 
         // Distributed per-segment selection.
-        std::vector<Cand> selected;
-        std::vector<Cand> excluded;
+        std::vector<Key> &selected = s.selected;
+        std::vector<Key> &excluded = s.excluded;
+        selected.clear();
+        excluded.clear();
         for (int seg = 0; seg < n; ++seg) {
             const int lo = static_cast<int>(
                 static_cast<std::int64_t>(seg) * S / n);
             const int hi = static_cast<int>(
                 static_cast<std::int64_t>(seg + 1) * S / n);
-            SegmentResult sr = segmentTopM(row, lo, hi, per_seg, cfg,
-                                           span, result_ops);
-            out.clipped += sr.clipped;
-            selected.insert(selected.end(), sr.selected.begin(),
-                            sr.selected.end());
-            excluded.insert(excluded.end(), sr.excluded.begin(),
-                            sr.excluded.end());
+            out.clipped += segmentTopM(row, lo, hi, per_seg, cfg, span,
+                                       result_ops, s);
         }
-
-        std::sort(selected.begin(), selected.end());
-        std::sort(excluded.begin(), excluded.end());
 
         // Trim the union (n * ceil(k/n) >= k) down to k; the overflow
         // joins the excluded pool.
-        while (static_cast<int>(selected.size()) > keep) {
-            excluded.push_back(selected.back());
-            selected.pop_back();
+        std::sort(selected.begin(), selected.end());
+        if (selected.size() > keep_n) {
+            excluded.insert(excluded.end(), selected.begin() + keep_n,
+                            selected.end());
+            selected.resize(keep_n);
         }
-        std::sort(excluded.begin(), excluded.end());
 
         // Sphere-search refinement: swap the selected minimum with the
-        // excluded maximum while the exchange improves the set.
-        int iter = 0;
-        std::size_t ex_head = 0;
-        while (iter < cfg.refineIters && !selected.empty() &&
-               ex_head < excluded.size()) {
+        // excluded maximum while the exchange improves the set. Each
+        // step consumes the pool's next-best candidate, so only its
+        // strongest refineIters need ordering.
+        const std::size_t reach = std::min(
+            static_cast<std::size_t>(std::max(cfg.refineIters, 0)),
+            excluded.size());
+        std::partial_sort(excluded.begin(), excluded.begin() + reach,
+                          excluded.end());
+        for (std::size_t t = 0; t < reach && !selected.empty(); ++t) {
             result_ops.cmpN(1 + n); // min-vs-max + per-segment reports
-            if (excluded[ex_head].value <= selected.back().value)
+            if (keyRank(excluded[t]) >= keyRank(selected.back()))
                 break;
-            std::swap(selected.back(), excluded[ex_head]);
-            ++ex_head;
             // Re-position the swapped-in element (sorted insert).
-            std::sort(selected.begin(), selected.end());
-            ++iter;
+            selected.back() = excluded[t];
+            std::rotate(std::upper_bound(selected.begin(),
+                                         selected.end() - 1,
+                                         excluded[t]),
+                        selected.end() - 1, selected.end());
         }
 
-        out.selected.reserve(selected.size());
-        for (const Cand &c : selected)
-            out.selected.push_back(c.index);
-        out.top1 = selected.empty() ? -1 : selected[0].index;
-        out.top2 = selected.size() > 1 ? selected[1].index : -1;
+        out.selected.reserve(out.selected.size() + selected.size());
+        for (const Key key : selected)
+            out.selected.push_back(keyIndex(key));
+        out.top1 = selected.empty() ? -1 : keyIndex(selected[0]);
+        out.top2 = selected.size() > 1 ? keyIndex(selected[1]) : -1;
     }
 }
 

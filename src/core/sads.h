@@ -14,9 +14,14 @@
  * bounded number of iterations.
  *
  * Cost model: comparisons are tallied for the clip filter (one per
- * element), the bitonic core (one 16-to-4 pass per 12 surviving
- * inputs), and the refinement loop, so the reduction vs a full-row
- * bitonic sort (the vanilla top-k stage) is measurable.
+ * element), the bitonic core (one 16-to-4 pass per 12-input sorter
+ * chunk with at least one survivor), and the refinement loop (1 + n
+ * per step), so the reduction vs a full-row bitonic sort (the
+ * vanilla top-k stage) is measurable. The functional model charges
+ * those tallies in closed form and computes what the sorter ends
+ * with directly: each segment's exact top-(k/n) survivors and the
+ * next k/n, in the SADS order (value descending, -0 equal to +0,
+ * then index ascending). Score rows must be NaN-free.
  *
  * Units: comparisons counted via OpCounter (cmps); quality is
  * top-k recall and covered softmax mass, both fractions in [0,1].

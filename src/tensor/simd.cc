@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "common/logging.h"
 #include "tensor/kernels.h"
@@ -43,13 +45,15 @@ clampToDetected(Level level)
 Level
 initialLevel()
 {
-    if (const char *e = std::getenv("SOFA_SIMD")) {
-        if (std::strcmp(e, "scalar") == 0)
-            return Level::Scalar;
-        if (std::strcmp(e, "avx2") == 0)
-            return clampToDetected(Level::Avx2);
+    const char *var = "SOFA_SIMD";
+    Level level = Level::Scalar;
+    try {
+        if (!parseLevel(std::getenv(var), &level))
+            return detected();
+    } catch (const std::invalid_argument &e) {
+        fatal("%s: %s", var, e.what());
     }
-    return detected();
+    return clampToDetected(level);
 }
 
 /** Active level; -1 = not yet initialized (lazy: the env override is
@@ -88,6 +92,21 @@ const char *
 levelName(Level level)
 {
     return level == Level::Avx2 ? "avx2" : "scalar";
+}
+
+bool
+parseLevel(const char *text, Level *level)
+{
+    if (text == nullptr || *text == '\0')
+        return false;
+    for (const Level l : {Level::Scalar, Level::Avx2}) {
+        if (std::strcmp(text, levelName(l)) == 0) {
+            *level = l;
+            return true;
+        }
+    }
+    throw std::invalid_argument(
+        std::string("expected 'scalar' or 'avx2', got '") + text + "'");
 }
 
 std::size_t

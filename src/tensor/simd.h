@@ -18,9 +18,10 @@
  *
  * Dispatch is per-call through an atomic level: detected from the CPU
  * (AVX2 via __builtin_cpu_supports) at first use, overridable by the
- * SOFA_SIMD env var ("scalar" | "avx2") and by setLevel/ScopedLevel,
- * which benches and the property tests use to time and compare both
- * paths in one process. AVX2 bodies are compiled with per-function
+ * SOFA_SIMD env var (exactly "scalar" | "avx2"; anything else is
+ * fatal, see parseLevel) and by setLevel/ScopedLevel, which benches
+ * and the property tests use to time and compare both paths in one
+ * process. AVX2 bodies are compiled with per-function
  * target attributes, so portable (non -march=native) builds still
  * dispatch to them at runtime on capable hosts.
  *
@@ -71,6 +72,15 @@ Level setLevel(Level level);
 
 /** "scalar" / "avx2". */
 const char *levelName(Level level);
+
+/**
+ * Parse a SOFA_SIMD value: exactly one of the levelName() spellings.
+ * Stores the level and returns true for those; returns false (unset,
+ * use detected()) for a null or empty value; throws
+ * std::invalid_argument for anything else ("AVX2", "sse", " avx2"),
+ * so a malformed value is rejected, never misread.
+ */
+bool parseLevel(const char *text, Level *level);
 
 /** RAII level override for benches and property tests comparing the
  * scalar and vector paths within one process. */

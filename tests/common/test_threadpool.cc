@@ -8,6 +8,7 @@
 #include <future>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -512,6 +513,45 @@ TEST(GrainForRowCost, ScalesInverselyWithRowCost)
     const std::size_t mid = grainForRowCost(10000.0);
     EXPECT_GT(cheap, mid);
     EXPECT_GE(mid, 1u);
+}
+
+TEST(ParseThreadCount, PlainDecimalsClampTo256)
+{
+    EXPECT_EQ(parseThreadCount("1"), 1);
+    EXPECT_EQ(parseThreadCount("4"), 4);
+    EXPECT_EQ(parseThreadCount("04"), 4);
+    EXPECT_EQ(parseThreadCount("256"), 256);
+    EXPECT_EQ(parseThreadCount("257"), 256);
+    EXPECT_EQ(parseThreadCount("99999999999999999999"), 256);
+}
+
+TEST(ParseThreadCount, NullOrEmptyIsUnset)
+{
+    EXPECT_EQ(parseThreadCount(nullptr), 0);
+    EXPECT_EQ(parseThreadCount(""), 0);
+}
+
+TEST(ParseThreadCount, MalformedIsRejected)
+{
+    // Trailing garbage, words, zero, signs, spaces, other radixes:
+    // atoi read "4abc" as 4 and "eight" / "0" as unset.
+    for (const char *bad : {"4abc", "eight", "0", "000", "-4", "+4",
+                            " 4", "4 ", "4.0", "0x4", "1e3"})
+        EXPECT_THROW(parseThreadCount(bad), std::invalid_argument)
+            << "'" << bad << "'";
+}
+
+TEST(ParseThreadCountDeath, MalformedEnvIsFatal)
+{
+    // Re-exec the child so the process-wide pool does not exist yet
+    // and its first use reads the environment.
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    EXPECT_EXIT(
+        {
+            setenv("SOFA_NUM_THREADS", "4abc", 1);
+            ThreadPool::instance();
+        },
+        ::testing::ExitedWithCode(1), "SOFA_NUM_THREADS");
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "core/dlzs.h"
@@ -247,6 +248,37 @@ TEST(KernelsProp, SimdLevelClampAndRestore)
     EXPECT_EQ(simd::active(), before);
     EXPECT_STREQ(simd::levelName(simd::Level::Scalar), "scalar");
     EXPECT_STREQ(simd::levelName(simd::Level::Avx2), "avx2");
+}
+
+TEST(SimdParseLevel, ExactNamesOnly)
+{
+    simd::Level level = simd::Level::Avx2;
+    EXPECT_TRUE(simd::parseLevel("scalar", &level));
+    EXPECT_EQ(level, simd::Level::Scalar);
+    EXPECT_TRUE(simd::parseLevel("avx2", &level));
+    EXPECT_EQ(level, simd::Level::Avx2);
+    // Unset and empty leave the level to CPU detection.
+    EXPECT_FALSE(simd::parseLevel(nullptr, &level));
+    EXPECT_FALSE(simd::parseLevel("", &level));
+    // Wrong case, unknown tiers, padding, trailing garbage.
+    for (const char *bad : {"AVX2", "Scalar", "sse", "avx512", " avx2",
+                            "avx2 ", "avx2x", "scalar,avx2", "0"})
+        EXPECT_THROW(simd::parseLevel(bad, &level),
+                     std::invalid_argument)
+            << "'" << bad << "'";
+}
+
+TEST(SimdParseLevelDeath, MalformedEnvIsFatal)
+{
+    // Re-exec the child so the dispatch level is still uninitialized
+    // and the first kernel call reads the environment.
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    EXPECT_EXIT(
+        {
+            setenv("SOFA_SIMD", "AVX2", 1);
+            simd::active();
+        },
+        ::testing::ExitedWithCode(1), "SOFA_SIMD");
 }
 
 } // namespace
