@@ -1,20 +1,22 @@
 /**
  * @file
  * Multi-backend fleet benchmark: the serving scheduler routing an
- * open-loop mixed trace across a heterogeneous executor fleet
- * (serve/backend). Sweeps the EngineBackend count (1 -> 2 -> 4) and
+ * open-loop mixed trace across a fleet of EngineBackends
+ * (serve/backend). Sweeps the backend count (1 -> 2 -> 4) and
  * reports measured aggregate Gop/s per fleet size (machine-dependent:
  * nocheck, trajectory family fleetN_gops), plus the deterministic
- * cycle-model scaling curve — each request priced on the arch/
- * accelerator model, round-robin assigned, fleet makespan = the
- * busiest backend's modeled seconds — which is golden-gated and
- * provably monotone for the 1/2/4 ladder (finer power-of-two
- * round-robin partitions only ever split a busiest group). Bit-
- * exactness vs a sequential per-request Engine::run loop, exact op
- * conservation and routed-placement balance are golden bits at tol 0
- * for every fleet size; a heterogeneous Engine+Sim+Analytic fleet
- * under Disaggregated routing re-checks the same contract, and a
- * what-if section prices the trace on the GPU/TPU roofline backends.
+ * cycle-model scaling curve — each request's head tasks priced by
+ * calling the arch/accelerator model on their shapes, round-robin
+ * assigned, fleet makespan = the busiest backend's modeled seconds —
+ * which is golden-gated and provably monotone for the 1/2/4 ladder
+ * (finer power-of-two round-robin partitions only ever split a
+ * busiest group). Bit-exactness vs a sequential per-request
+ * Engine::run loop, exact op conservation and routed-placement
+ * balance are golden bits at tol 0 for every fleet size; a
+ * mixed-capability fleet (decode-capable, prefill-only,
+ * decode-capable) under Disaggregated routing re-checks the same
+ * contract, and a what-if section prices the trace on the
+ * baselines/ GPU/TPU roofline models.
  */
 
 #include <algorithm>
@@ -23,6 +25,9 @@
 #include <string>
 #include <vector>
 
+#include "arch/accelerator.h"
+#include "baselines/gpu.h"
+#include "baselines/tpu.h"
 #include "benchmain.h"
 #include "benchutil.h"
 #include "common/table.h"
@@ -33,9 +38,6 @@
 namespace {
 
 using namespace sofa;
-using serve::AnalyticBackend;
-using serve::AnalyticBackendConfig;
-using serve::AnalyticDevice;
 using serve::Backend;
 using serve::BackendStats;
 using serve::EngineBackend;
@@ -47,8 +49,6 @@ using serve::RequestResult;
 using serve::RoutingPolicy;
 using serve::Scheduler;
 using serve::SchedulerConfig;
-using serve::SimBackend;
-using serve::SimBackendConfig;
 
 /** Wall-clock seconds of one fn() call. */
 template <typename Fn>
@@ -92,20 +92,42 @@ engineFleet(int n, const EngineConfig &ecfg)
     return fleet;
 }
 
-/** Per-request modeled seconds on @p backend (priced at begin();
- * the run is abandoned before any compute happens). */
+/** The arch-model shape of one head task. Cached keys ([0, pastLen))
+ * shrink the key-coverage fraction: the cycle model then charges
+ * on-demand generation only for the uncached span, mirroring what
+ * the engine's KV stage actually computes. */
+AttentionShape
+shapeOf(const HeadTask &t)
+{
+    AttentionShape s;
+    const WorkloadSpec &ws = t.workload->spec;
+    s.queries = ws.queries;
+    s.seq = ws.seq;
+    s.headDim = ws.headDim;
+    s.heads = 1;
+    s.tokenDim = ws.tokenDim;
+    if (t.pastLen > 0 && ws.seq > 0) {
+        const int cached = std::min(t.pastLen, ws.seq);
+        s.keyCoverage *=
+            static_cast<double>(ws.seq - cached) /
+            static_cast<double>(ws.seq);
+    }
+    return s;
+}
+
+/** Per-request modeled seconds: @p task_ns (a model's latency in ns
+ * for one head shape) summed over each request's head tasks. */
+template <typename TaskNs>
 std::vector<double>
-modeledSecondsPerRequest(Backend &backend,
-                         const std::vector<ModelWorkload> &works)
+modeledSecondsPerRequest(const std::vector<ModelWorkload> &works,
+                         const TaskNs &task_ns)
 {
     std::vector<double> modeled;
     modeled.reserve(works.size());
     for (const ModelWorkload &mw : works) {
-        const std::vector<HeadTask> tasks = gridTasks(mw);
-        auto run = backend.begin(tasks);
         double s = 0.0;
-        for (std::size_t t = 0; t < tasks.size(); ++t)
-            s += run->modeledTaskSeconds(t);
+        for (const HeadTask &t : gridTasks(mw))
+            s += task_ns(shapeOf(t)) * 1e-9;
         modeled.push_back(s);
     }
     return modeled;
@@ -173,12 +195,14 @@ run(const bench::Options &opts, bench::Reporter &rep)
     // to the fleet; aggregate modeled Gop/s = ops / makespan. The
     // 1 -> 2 -> 4 ladder refines a power-of-two partition, so the
     // makespan never grows and the curve is monotone by
-    // construction — golden-gated, machine-independent.
-    SimBackendConfig sim_cfg;
-    sim_cfg.engine = scfg.engine;
-    SimBackend pricer(sim_cfg);
-    const std::vector<double> modeled =
-        modeledSecondsPerRequest(pricer, works);
+    // construction — golden-gated, machine-independent. The cycle
+    // model prices the keep fraction the engine executes.
+    SofaConfig arch;
+    arch.topkFrac = scfg.engine.pipeline.topkFrac;
+    const SofaAccelerator accel(arch);
+    const std::vector<double> modeled = modeledSecondsPerRequest(
+        works,
+        [&](const AttentionShape &s) { return accel.run(s).timeNs; });
     const std::vector<int> fleets = {1, 2, 4};
     std::vector<double> modeled_gops;
     for (int fleet : fleets) {
@@ -302,28 +326,22 @@ run(const bench::Options &opts, bench::Reporter &rep)
         return 1;
     }
 
-    // Heterogeneous fleet: a measured engine, a cycle-model
-    // simulator (prefill-only: the disaggregation class) and an
-    // analytic GPU — Disaggregated routing pins decodes to the
+    // Mixed-capability fleet: a decode-capable engine, a
+    // prefill-only one (the disaggregation class) and another
+    // decode-capable one — Disaggregated routing pins decodes to the
     // KV-cache-warm shards. The bit-exactness contract must hold
     // for the mixed fleet exactly as for the homogeneous one.
     {
         SchedulerConfig cfg = scfg;
         cfg.routing = RoutingPolicy::Disaggregated;
         cfg.startPaused = true; // deterministic placement
-        EngineBackendConfig e;
-        e.engine = cfg.engine;
-        e.name = "engine";
-        cfg.backends.push_back(std::make_shared<EngineBackend>(e));
-        SimBackendConfig s;
-        s.engine = cfg.engine;
-        s.caps.supportsDecode = false; // dedicated prefill shard
-        s.name = "sim-prefill";
-        cfg.backends.push_back(std::make_shared<SimBackend>(s));
-        AnalyticBackendConfig a;
-        a.engine = cfg.engine;
-        a.name = "gpu-whatif";
-        cfg.backends.push_back(std::make_shared<AnalyticBackend>(a));
+        for (int i = 0; i < 3; ++i) {
+            EngineBackendConfig e;
+            e.engine = cfg.engine;
+            e.caps.supportsDecode = i != 1; // dedicated prefill shard
+            e.name = (i == 1 ? "prefill" : "engine") + std::to_string(i);
+            cfg.backends.push_back(std::make_shared<EngineBackend>(e));
+        }
 
         Scheduler sched(cfg);
         std::vector<std::future<RequestResult>> futs;
@@ -349,9 +367,9 @@ run(const bench::Options &opts, bench::Reporter &rep)
             if (r.kind == RequestKind::Decode)
                 disagg_ok = disagg_ok && r.backend != 1;
         }
-        std::printf("heterogeneous fleet (engine + sim + analytic, "
-                    "disaggregated): %d/%d completed, %s, decode "
-                    "placement %s\n",
+        std::printf("mixed-capability fleet (decode + prefill-only + "
+                    "decode, disaggregated): %d/%d completed, %s, "
+                    "decode placement %s\n",
                     completed, n,
                     exact ? "bit-exact" : "MISMATCH",
                     disagg_ok ? "respected" : "VIOLATED");
@@ -365,26 +383,29 @@ run(const bench::Options &opts, bench::Reporter &rep)
             return 1;
     }
 
-    // What-if routing: the same trace priced end-to-end on the
-    // analytic GPU and TPU roofline backends (serial modeled
-    // seconds). Deterministic in the seed — golden-gated.
+    // What-if pricing: the same trace priced end-to-end on the
+    // baselines/ GPU and TPU roofline models in SOFA-software mode at
+    // the engine's keep fraction (serial modeled seconds).
+    // Deterministic in the seed — golden-gated.
     {
-        AnalyticBackendConfig g;
-        g.engine = scfg.engine;
-        AnalyticBackend gpu(g);
-        AnalyticBackendConfig tp;
-        tp.engine = scfg.engine;
-        tp.device = AnalyticDevice::TPU;
-        AnalyticBackend tpu(tp);
+        const GpuModel gpu;
+        const TpuModel tpu;
+        const double keep = scfg.engine.pipeline.topkFrac;
         double gpu_s = 0.0, tpu_s = 0.0;
-        for (double s : modeledSecondsPerRequest(gpu, works))
+        for (double s : modeledSecondsPerRequest(
+                 works, [&](const AttentionShape &sh) {
+                     return gpu.run(sh, GpuMode::SofaSoft, keep).timeNs;
+                 }))
             gpu_s += s;
-        for (double s : modeledSecondsPerRequest(tpu, works))
+        for (double s : modeledSecondsPerRequest(
+                 works, [&](const AttentionShape &sh) {
+                     return tpu.run(sh, GpuMode::SofaSoft, keep).timeNs;
+                 }))
             tpu_s += s;
         std::printf("what-if roofline pricing: %s %.2f modeled "
                     "Gop/s, %s %.2f modeled Gop/s\n",
-                    gpu.name().c_str(), total_ops / gpu_s / 1e9,
-                    tpu.name().c_str(), total_ops / tpu_s / 1e9);
+                    gpu.config().name.c_str(), total_ops / gpu_s / 1e9,
+                    tpu.config().name.c_str(), total_ops / tpu_s / 1e9);
         rep.metric("whatif_gpu_gops", total_ops / gpu_s / 1e9,
                    "gops").tol(1e-4);
         rep.metric("whatif_tpu_gops", total_ops / tpu_s / 1e9,

@@ -17,6 +17,13 @@ Fails when the documentation drifts from the actual source tree:
     environment variable, CMake option or macro — must still occur
     in the code (src/, bench/, tests/, scripts/, CMake files), so a
     deleted knob cannot stay documented;
+  * every backticked identifier containing "Backend" in those docs
+    must be a class, struct or enum class declared in src/serve/*.h,
+    so a deleted or misnamed Backend type cannot stay documented;
+  * no file under src/{common,tensor,sparsity,model,attention,core,
+    serve} may include arch/, baselines/ or energy/: the paper's
+    cycle model and the GPU/TPU baselines are evaluation models that
+    benches and examples call, not dependencies of the runtime;
   * every src/serve header, plus src/common/threadpool.h,
     src/core/engine.h and src/model/model_workload.h, must carry the
     Units/assumptions header-comment line (the PR-3 documentation
@@ -199,6 +206,31 @@ def main():
                 errors.append(f"{path}: {name} mentioned but no "
                               "longer used by the code")
 
+    # --- backticked Backend types in the docs <-> src/serve -----
+    serve_types = set()
+    for path in glob.glob("src/serve/*.h"):
+        serve_types.update(re.findall(
+            r"\b(?:class|struct|enum\s+class)\s+(\w+)", read(path)))
+    for path in docs:
+        named = set()
+        for span in re.findall(r"`([^`\n]+)`", read(path)):
+            named.update(re.findall(r"\b\w*Backend\w*\b", span))
+        for name in sorted(named - serve_types):
+            errors.append(f"{path}: `{name}` is not a type declared "
+                          "in src/serve/*.h")
+
+    # --- layering: the runtime never includes the models --------
+    runtime = ("common", "tensor", "sparsity", "model", "attention",
+               "core", "serve")
+    for group in runtime:
+        for path in sorted(glob.glob(f"src/{group}/*")):
+            for inc in re.findall(
+                    r'^\s*#\s*include\s+"((?:arch|baselines|energy)/'
+                    r'[^"]+)"', read(path), re.MULTILINE):
+                errors.append(f"{path}: includes {inc} (the runtime "
+                              "must not depend on arch/, baselines/ "
+                              "or energy/)")
+
     # --- Units/assumptions header-comment convention ------------
     units_files = sorted(glob.glob("src/serve/*.h")) + [
         "src/common/threadpool.h",
@@ -244,8 +276,8 @@ def main():
         print(f"check_docs: {len(errors)} problem(s)")
         return 1
     print(f"check_docs: {len(modules)} src modules, {len(benches)} "
-          "bench binaries, serving docs, SOFA_* names, units headers "
-          "and goldens all in sync")
+          "bench binaries, serving docs, SOFA_* names, Backend types, "
+          "layering, units headers and goldens all in sync")
     return 0
 
 

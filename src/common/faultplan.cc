@@ -1,5 +1,6 @@
 #include "common/faultplan.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -57,6 +58,10 @@ trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
+/** Cap on a slow rule's sleep, in ms (in-tree plans use at most 60):
+ * it keeps the nanosecond conversion in sleep_for well defined. */
+constexpr double kMaxSlowMs = 60000.0;
+
 [[noreturn]] void
 bad(const std::string &what, const std::string &tok)
 {
@@ -64,11 +69,15 @@ bad(const std::string &what, const std::string &tok)
                                 "'");
 }
 
+/** Decimal digits only: std::stoull alone would also take a sign
+ * (wrapping "-1" to 2^64 - 1) or leading whitespace. */
 std::uint64_t
 parseUint(const std::string &tok, const std::string &value)
 {
     if (value.empty())
         bad("empty integer", tok);
+    if (value.find_first_not_of("0123456789") != std::string::npos)
+        bad("non-digit in integer '" + value + "'", tok);
     std::size_t pos = 0;
     unsigned long long v = 0;
     try {
@@ -95,6 +104,8 @@ parseFloat(const std::string &tok, const std::string &value)
     }
     if (pos != value.size())
         bad("trailing garbage in number '" + value + "'", tok);
+    if (!std::isfinite(v))
+        bad("non-finite number '" + value + "'", tok);
     return v;
 }
 
@@ -155,8 +166,8 @@ parseRule(const std::string &text)
             if (rule.action != FaultAction::Slow)
                 bad("ms= only valid on slow rules", tok);
             rule.slowMs = parseFloat(tok, value);
-            if (!(rule.slowMs > 0.0))
-                bad("ms must be > 0", tok);
+            if (!(rule.slowMs > 0.0 && rule.slowMs <= kMaxSlowMs))
+                bad("ms outside (0, 60000]", tok);
             sawMs = true;
         } else {
             bad("unknown key '" + key + "'", text);

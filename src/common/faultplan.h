@@ -17,13 +17,16 @@
  *
  *   rule    := action (":" field)*
  *   action  := "fail" | "slow"
- *   field   := "req="     (uint | "*")      match one request id / any
- *            | "stage="   (name | "*")      engine stage name / any
- *            | "attempt=" uint              exact attempt (0-based)
- *            | "attempt<" uint              attempts below the bound
- *            | "prob="    float in [0,1]    hash-gated firing chance
- *            | "seed="    uint              per-rule hash salt
- *            | "ms="      float > 0         slowdown (slow rules only)
+ *   field   := "req="     (uint | "*")        match one request id / any
+ *            | "stage="   (name | "*")        engine stage name / any
+ *            | "attempt=" uint <= 2^20        exact attempt (0-based)
+ *            | "attempt<" uint <= 2^20        attempts below the bound
+ *            | "prob="    float in [0,1]      hash-gated firing chance
+ *            | "seed="    uint                per-rule hash salt
+ *            | "ms="      float in (0,60000]  slowdown (slow rules only)
+ *
+ * A uint is decimal digits only (no sign, no blanks, < 2^64); a float
+ * must be finite.
  *
  * Example: SOFA_FAULTS="fail:req=3:stage=sads_topk:attempt<2;
  * slow:req=*:stage=sufa_attention:ms=5:prob=0.1:seed=7". The first
@@ -91,8 +94,9 @@ class FaultPlan
     /**
      * Parse a plan from the spec grammar above. Throws
      * std::invalid_argument naming the offending token on any
-     * grammar error (unknown action/key, prob outside [0,1],
-     * non-positive ms, ms on a fail rule, unparsable number).
+     * grammar error (unknown action/key, prob outside [0,1], ms
+     * outside (0, 60000], ms on a fail rule, unparsable, signed or
+     * non-finite number).
      */
     static FaultPlan parse(const std::string &spec);
 

@@ -1,8 +1,6 @@
 #include "serve/backend.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/threadpool.h"
@@ -25,12 +23,6 @@ BackendRun::~BackendRun()
 {
     std::lock_guard<std::mutex> lk(owner_.m_);
     --owner_.inFlight_;
-}
-
-double
-BackendRun::modeledTaskSeconds(std::size_t) const
-{
-    return 0.0; // measured backend: wall-clock is the truth
 }
 
 EngineResult
@@ -93,32 +85,16 @@ scaledKeepConfig(const EngineConfig &base, double keep_factor)
 
 namespace {
 
-/**
- * The one concrete run shape every backend shares: a (possibly
- * hidden) EngineRun computing the results, plus the per-task modeled
- * seconds the backend charged. Results therefore cannot drift
- * between backends — they all execute the same engine code.
- */
+/** The run shape EngineBackend hands out: an EngineRun behind the
+ * BackendRun accounting. */
 class WrappedEngineRun : public BackendRun
 {
   public:
     WrappedEngineRun(Backend &owner, const Engine &eng,
-                     std::vector<HeadTask> tasks,
-                     std::vector<double> modeled,
-                     double sleep_scale)
+                     std::vector<HeadTask> tasks)
         : BackendRun(owner, tasks.size()),
-          run_(eng, std::move(tasks)),
-          modeled_(std::move(modeled))
+          run_(eng, std::move(tasks))
     {
-        if (sleep_scale > 0.0) {
-            double total = 0.0;
-            for (double s : modeled_)
-                total += s;
-            sleepPerStep_ =
-                sleep_scale * total /
-                static_cast<double>(std::max<std::size_t>(
-                    1, run_.stageCount()));
-        }
     }
 
     std::size_t stageCount() const override
@@ -130,21 +106,11 @@ class WrappedEngineRun : public BackendRun
         return run_.nextStageName();
     }
     bool done() const override { return run_.done(); }
-    void step() override
-    {
-        run_.step();
-        if (sleepPerStep_ > 0.0)
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(sleepPerStep_));
-    }
+    void step() override { run_.step(); }
     void cancel(std::size_t i) override { run_.cancel(i); }
     bool cancelled(std::size_t i) const override
     {
         return run_.cancelled(i);
-    }
-    double modeledTaskSeconds(std::size_t i) const override
-    {
-        return i < modeled_.size() ? modeled_[i] : 0.0;
     }
 
   protected:
@@ -152,52 +118,7 @@ class WrappedEngineRun : public BackendRun
 
   private:
     EngineRun run_;
-    std::vector<double> modeled_;
-    double sleepPerStep_ = 0.0;
 };
-
-/** Engine cached per degraded keep factor (the base engine serves
- * keep_factor == 1; the scheduler uses at most one other factor). */
-const Engine &
-scaledEngine(
-    const EngineConfig &base_cfg, const Engine &base,
-    double keep_factor, std::mutex &m,
-    std::vector<std::pair<double, std::unique_ptr<Engine>>> &cache)
-{
-    if (keep_factor >= 1.0)
-        return base;
-    std::lock_guard<std::mutex> lk(m);
-    for (const auto &e : cache)
-        if (e.first == keep_factor)
-            return *e.second;
-    cache.emplace_back(keep_factor,
-                       std::make_unique<Engine>(scaledKeepConfig(
-                           base_cfg, keep_factor)));
-    return *cache.back().second;
-}
-
-/** The arch-model shape of one head task. Cached keys ([0, pastLen))
- * shrink the key-coverage fraction: the cycle model then charges
- * on-demand generation only for the uncached span, mirroring what
- * the engine's KV stage actually computes. */
-AttentionShape
-shapeOf(const HeadTask &t)
-{
-    AttentionShape s;
-    const WorkloadSpec &ws = t.workload->spec;
-    s.queries = ws.queries;
-    s.seq = ws.seq;
-    s.headDim = ws.headDim;
-    s.heads = 1;
-    s.tokenDim = ws.tokenDim;
-    if (t.pastLen > 0 && ws.seq > 0) {
-        const int cached = std::min(t.pastLen, ws.seq);
-        s.keyCoverage *=
-            static_cast<double>(ws.seq - cached) /
-            static_cast<double>(ws.seq);
-    }
-    return s;
-}
 
 } // namespace
 
@@ -236,8 +157,16 @@ EngineBackend::ownedPoolThreads() const
 const Engine &
 EngineBackend::engineFor(double keep_factor)
 {
-    return scaledEngine(cfg_.engine, *engine_, keep_factor, scaledM_,
-                        scaled_);
+    if (keep_factor >= 1.0)
+        return *engine_;
+    std::lock_guard<std::mutex> lk(scaledM_);
+    for (const auto &e : scaled_)
+        if (e.first == keep_factor)
+            return *e.second;
+    scaled_.emplace_back(keep_factor,
+                         std::make_unique<Engine>(scaledKeepConfig(
+                             cfg_.engine, keep_factor)));
+    return *scaled_.back().second;
 }
 
 std::unique_ptr<BackendRun>
@@ -245,145 +174,12 @@ EngineBackend::beginRun(std::vector<HeadTask> tasks,
                         double keep_factor)
 {
     return std::make_unique<WrappedEngineRun>(
-        *this, engineFor(keep_factor), std::move(tasks),
-        std::vector<double>{}, 0.0);
-}
-
-// ---------------------------------------------------------------
-// SimBackend
-// ---------------------------------------------------------------
-
-namespace {
-
-/** The cycle model must price the keep fraction the hidden engine
- * actually executes, not its own default. */
-SofaConfig
-syncedArchConfig(SimBackendConfig &cfg)
-{
-    cfg.arch.topkFrac = cfg.engine.pipeline.topkFrac;
-    return cfg.arch;
-}
-
-} // namespace
-
-SimBackend::SimBackend(SimBackendConfig cfg)
-    : Backend(cfg.name.empty() ? "sim" : cfg.name),
-      cfg_(std::move(cfg)), accel_(syncedArchConfig(cfg_))
-{
-    if (cfg_.threads > 0) {
-        pool_ = std::make_unique<ThreadPool>(cfg_.threads);
-        cfg_.engine.pool = pool_.get();
-    }
-    engine_ = std::make_unique<Engine>(cfg_.engine);
-}
-
-SimBackend::~SimBackend() = default;
-
-BackendCapabilities
-SimBackend::capabilities() const
-{
-    return cfg_.caps;
-}
-
-std::unique_ptr<BackendRun>
-SimBackend::beginRun(std::vector<HeadTask> tasks,
-                     double keep_factor)
-{
-    std::vector<double> modeled(tasks.size(), 0.0);
-    if (keep_factor >= 1.0) {
-        for (std::size_t i = 0; i < tasks.size(); ++i)
-            modeled[i] = accel_.run(shapeOf(tasks[i])).timeNs * 1e-9;
-    } else {
-        // Degraded service keeps a smaller SADS span; price the
-        // cycle model at the keep fraction actually executed.
-        SofaConfig ac = cfg_.arch;
-        ac.topkFrac = scaledKeepConfig(cfg_.engine, keep_factor)
-                          .pipeline.topkFrac;
-        const SofaAccelerator accel(ac);
-        for (std::size_t i = 0; i < tasks.size(); ++i)
-            modeled[i] = accel.run(shapeOf(tasks[i])).timeNs * 1e-9;
-    }
-    const Engine &eng = scaledEngine(cfg_.engine, *engine_,
-                                     keep_factor, scaledM_, scaled_);
-    return std::make_unique<WrappedEngineRun>(
-        *this, eng, std::move(tasks), std::move(modeled),
-        cfg_.sleepScale);
-}
-
-// ---------------------------------------------------------------
-// AnalyticBackend
-// ---------------------------------------------------------------
-
-namespace {
-
-std::string
-analyticName(const AnalyticBackendConfig &cfg)
-{
-    if (!cfg.name.empty())
-        return cfg.name;
-    return cfg.device == AnalyticDevice::GPU ? cfg.gpu.name
-                                             : cfg.tpu.name;
-}
-
-} // namespace
-
-AnalyticBackend::AnalyticBackend(AnalyticBackendConfig cfg)
-    : Backend(analyticName(cfg)), cfg_(std::move(cfg)),
-      gpu_(cfg_.gpu), tpu_(cfg_.tpu)
-{
-    if (cfg_.threads > 0) {
-        pool_ = std::make_unique<ThreadPool>(cfg_.threads);
-        cfg_.engine.pool = pool_.get();
-    }
-    engine_ = std::make_unique<Engine>(cfg_.engine);
-}
-
-AnalyticBackend::~AnalyticBackend() = default;
-
-BackendCapabilities
-AnalyticBackend::capabilities() const
-{
-    return cfg_.caps;
-}
-
-std::unique_ptr<BackendRun>
-AnalyticBackend::beginRun(std::vector<HeadTask> tasks,
-                          double keep_factor)
-{
-    const double keep =
-        scaledKeepConfig(cfg_.engine, keep_factor).pipeline.topkFrac;
-    std::vector<double> modeled(tasks.size(), 0.0);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        const AttentionShape shape = shapeOf(tasks[i]);
-        const GpuResult r =
-            cfg_.device == AnalyticDevice::GPU
-                ? gpu_.run(shape, cfg_.mode, keep)
-                : tpu_.run(shape, cfg_.mode, keep);
-        modeled[i] = r.timeNs * 1e-9;
-    }
-    const Engine &eng = scaledEngine(cfg_.engine, *engine_,
-                                     keep_factor, scaledM_, scaled_);
-    return std::make_unique<WrappedEngineRun>(
-        *this, eng, std::move(tasks), std::move(modeled), 0.0);
+        *this, engineFor(keep_factor), std::move(tasks));
 }
 
 // ---------------------------------------------------------------
 // Routing
 // ---------------------------------------------------------------
-
-const char *
-routingPolicyName(RoutingPolicy p)
-{
-    switch (p) {
-      case RoutingPolicy::RoundRobin:
-        return "roundrobin";
-      case RoutingPolicy::LeastQueueDepth:
-        return "leastqueuedepth";
-      case RoutingPolicy::Disaggregated:
-        return "disaggregated";
-    }
-    return "?";
-}
 
 int
 routeRequest(RoutingPolicy policy, RequestKind kind,

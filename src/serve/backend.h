@@ -1,40 +1,31 @@
 /**
  * @file
  * Executor backends behind the serving scheduler: the Backend
- * abstraction turns "the engine" into a heterogeneous fleet. A
- * Backend advertises capabilities (concurrent-run capacity, which
- * request kinds it serves, a relative cost hint), accepts
- * stage-granular work through begin() — returning a BackendRun that
- * mirrors core/engine's EngineRun step()/finish()/cancel() surface,
- * so fault injection and deadline cancellation keep happening at
- * stage boundaries — and reports queue depth and completed runs for
- * the routing policies and the conformance accounting invariants.
+ * abstraction turns "the engine" into a fleet. A Backend advertises
+ * which request kinds it serves, accepts stage-granular work through
+ * begin() — returning a BackendRun that mirrors core/engine's
+ * EngineRun step()/finish()/cancel() surface, so fault injection and
+ * deadline cancellation keep happening at stage boundaries — and
+ * reports queue depth and completed runs for the routing policies
+ * and the conformance accounting invariants.
  *
- * Three implementations:
- *  - EngineBackend: N independent core/engine instances, each with
- *    its *own* explicit common/threadpool (never the process-wide
- *    default — mutating that from one backend would cross-talk into
- *    every other, the latent ScopedDefaultThreads hazard). The
- *    measured, bit-exact executor.
- *  - SimBackend: results computed by a hidden reference engine
- *    (bit-exact vs Engine::run by construction), latency charged
- *    from the arch/accelerator cycle model per head task.
- *  - AnalyticBackend: same hidden-engine results, latency from the
- *    baselines/ GPU/TPU roofline models — what-if routing against
- *    modeled devices without giving up numerical conformance.
+ * One implementation: EngineBackend, a core/engine executor. With
+ * `threads > 0` it owns an explicit common/threadpool (never the
+ * process-wide default — mutating that from one backend would
+ * cross-talk into every other, the latent ScopedDefaultThreads
+ * hazard); otherwise it runs on EngineConfig.pool or the process
+ * pool, as the scheduler's implicit backend does.
  *
  * Every backend executes the same per-task numerics, so any fleet
- * mix preserves the scheduler's bit-exactness contract; only the
- * charged/measured latency differs. RoutingPolicy picks the shard:
- * static round-robin (bit-compatible default), least-queue-depth
- * placement, or prefill/decode disaggregation (decode-heavy work
- * pinned to KV-cache-warm backends — the ones that keep a
- * serve/kvpool). routeRequest is the pure decision function the
- * scheduler calls and the property tests replay.
+ * preserves the scheduler's bit-exactness contract; only wall-clock
+ * differs. RoutingPolicy picks the shard: static round-robin
+ * (bit-compatible default), least-queue-depth placement, or
+ * prefill/decode disaggregation (decode-heavy work pinned to
+ * KV-cache-warm backends — the ones that keep a serve/kvpool).
+ * routeRequest is the pure decision function the scheduler calls and
+ * the property tests replay.
  *
- * Units: queue depth in runs; modeled latency in seconds (derived
- * from arch cycles at 1 GHz or baselines ns); cost hints are
- * relative (1.0 = the in-process engine); ops remain OpCounter ops.
+ * Units: queue depth in runs; ops remain OpCounter ops.
  */
 
 #ifndef SOFA_SERVE_BACKEND_H
@@ -47,9 +38,6 @@
 #include <utility>
 #include <vector>
 
-#include "arch/accelerator.h"
-#include "baselines/gpu.h"
-#include "baselines/tpu.h"
 #include "core/engine.h"
 #include "serve/request.h"
 
@@ -59,13 +47,9 @@ class ThreadPool;
 
 namespace serve {
 
-/** What a backend can serve and how routing should weigh it. */
+/** Which request kinds a backend serves (routing eligibility). */
 struct BackendCapabilities
 {
-    /** Concurrent runs the backend is sized for; the scheduler uses
-     * it as the shard's lane count. 0 = inherit the scheduler's
-     * `lanes` knob. */
-    int maxConcurrentRuns = 0;
     /** Serves prefill-shaped requests (Disaggregated routing sends
      * prefills to prefill-capable backends). */
     bool supportsPrefill = true;
@@ -74,10 +58,6 @@ struct BackendCapabilities
      * serve/kvpool shard and Disaggregated routing pins decodes to
      * them. */
     bool supportsDecode = true;
-    /** Relative service-cost hint (1.0 = the in-process engine;
-     * informational for reporting and what-if comparisons — the
-     * shipped policies route on queue depth, not cost). */
-    double costHint = 1.0;
 };
 
 class Backend;
@@ -110,13 +90,8 @@ class BackendRun
      * remaining stages skip it, slot alignment is preserved). */
     virtual void cancel(std::size_t i) = 0;
     virtual bool cancelled(std::size_t i) const = 0;
-    /**
-     * Modeled service seconds the backend charges for task @p i —
-     * the cycle-model (SimBackend) or roofline (AnalyticBackend)
-     * latency. 0 on measured backends (EngineBackend), where
-     * wall-clock is the truth.
-     */
-    virtual double modeledTaskSeconds(std::size_t i) const;
+    /** Always 0; kept only while benchmark/tracing.cc overrides it. */
+    virtual double modeledTaskSeconds(std::size_t) const { return 0.0; }
 
     /** Run any remaining stages, assemble the aggregate result and
      * record the completion on the owner. The run is spent. */
@@ -149,7 +124,7 @@ class Backend
     Backend(const Backend &) = delete;
     Backend &operator=(const Backend &) = delete;
 
-    /** Stable display/routing name ("engine0", "sim", "gpu-a100"). */
+    /** Stable display/routing name ("engine0", "prefill1"). */
     const std::string &name() const { return name_; }
 
     virtual BackendCapabilities capabilities() const = 0;
@@ -191,7 +166,7 @@ class Backend
 
 /** The engine config @p base with pipeline.topkFrac scaled by
  * @p keep_factor (clamped to [1e-3, 1]) — the degradation lever
- * every backend applies identically (cf. degradedEngineConfig). */
+ * begin() applies (cf. degradedEngineConfig). */
 EngineConfig scaledKeepConfig(const EngineConfig &base,
                               double keep_factor);
 
@@ -215,7 +190,7 @@ struct EngineBackendConfig
     std::string name = "engine";
 };
 
-/** In-process core/engine executor (the measured backend). */
+/** In-process core/engine executor — the one Backend. */
 class EngineBackend : public Backend
 {
   public:
@@ -223,7 +198,6 @@ class EngineBackend : public Backend
     ~EngineBackend() override;
 
     BackendCapabilities capabilities() const override;
-    const EngineBackendConfig &config() const { return cfg_; }
     /** The owned pool's participant count; 0 = no owned pool. */
     int ownedPoolThreads() const;
 
@@ -233,107 +207,17 @@ class EngineBackend : public Backend
              double keep_factor) override;
 
   private:
+    /** The base engine at keep_factor 1, else the engine for that
+     * degraded factor (built on first use, then cached). */
     const Engine &engineFor(double keep_factor);
 
     EngineBackendConfig cfg_;
     std::unique_ptr<ThreadPool> pool_; ///< owned iff cfg_.threads > 0
     std::unique_ptr<Engine> engine_;
-    /** Lazily-built engines for degraded keep factors (one per
-     * distinct factor; the scheduler uses a single one). */
+    /** Degraded engines, one per distinct keep factor (the
+     * scheduler uses a single one). */
     std::mutex scaledM_;
     std::vector<std::pair<double, std::unique_ptr<Engine>>> scaled_;
-};
-
-/** SimBackend knobs. */
-struct SimBackendConfig
-{
-    /** Hidden reference engine computing the (bit-exact) results. */
-    EngineConfig engine;
-    /** Cycle model charging the latency (arch/accelerator). */
-    SofaConfig arch;
-    /** Owned pool for the hidden engine (EngineBackendConfig
-     * semantics; 0 = shared default pool). */
-    int threads = 0;
-    /** Wall-clock seconds slept per modeled second while stepping
-     * (spread evenly across stages), so live-load experiments can
-     * make modeled latency observable; 0 (default) charges only. */
-    double sleepScale = 0.0;
-    BackendCapabilities caps;
-    std::string name = "sim";
-};
-
-/** Accelerator-cycle-model executor: hidden-engine results, latency
- * charged per task from arch/accelerator's SimResult. */
-class SimBackend : public Backend
-{
-  public:
-    explicit SimBackend(SimBackendConfig cfg = {});
-    ~SimBackend() override;
-
-    BackendCapabilities capabilities() const override;
-    const SimBackendConfig &config() const { return cfg_; }
-
-  protected:
-    std::unique_ptr<BackendRun>
-    beginRun(std::vector<HeadTask> tasks,
-             double keep_factor) override;
-
-  private:
-    SimBackendConfig cfg_;
-    std::unique_ptr<ThreadPool> pool_;
-    std::unique_ptr<Engine> engine_;
-    std::mutex scaledM_;
-    std::vector<std::pair<double, std::unique_ptr<Engine>>> scaled_;
-    SofaAccelerator accel_;
-};
-
-/** Which baselines/ device model prices AnalyticBackend's latency. */
-enum class AnalyticDevice {
-    GPU, ///< baselines/gpu A100 roofline
-    TPU, ///< baselines/tpu TPUv3 roofline
-};
-
-/** AnalyticBackend knobs. */
-struct AnalyticBackendConfig
-{
-    /** Hidden reference engine computing the (bit-exact) results. */
-    EngineConfig engine;
-    AnalyticDevice device = AnalyticDevice::GPU;
-    /** Execution mode priced on the device (baselines/gpu modes). */
-    GpuMode mode = GpuMode::SofaSoft;
-    GpuConfig gpu;
-    TpuConfig tpu;
-    /** Owned pool for the hidden engine (0 = shared default). */
-    int threads = 0;
-    BackendCapabilities caps;
-    /** Defaults to the device model's name ("A100"/"TPUv3"). */
-    std::string name;
-};
-
-/** What-if executor over the baselines/ GPU/TPU roofline models:
- * hidden-engine results, modeled device latency per task. */
-class AnalyticBackend : public Backend
-{
-  public:
-    explicit AnalyticBackend(AnalyticBackendConfig cfg = {});
-    ~AnalyticBackend() override;
-
-    BackendCapabilities capabilities() const override;
-    const AnalyticBackendConfig &config() const { return cfg_; }
-
-  protected:
-    std::unique_ptr<BackendRun>
-    beginRun(std::vector<HeadTask> tasks,
-             double keep_factor) override;
-
-  private:
-    AnalyticBackendConfig cfg_;
-    std::unique_ptr<ThreadPool> pool_;
-    std::unique_ptr<Engine> engine_;
-    std::mutex scaledM_;
-    std::vector<std::pair<double, std::unique_ptr<Engine>>> scaled_;
-    GpuModel gpu_;
-    TpuModel tpu_;
 };
 
 /** Fleet placement policy (docs/SERVING.md has the routing table). */
@@ -348,9 +232,6 @@ enum class RoutingPolicy {
                      ///< (decode-capable) ones; least depth within
                      ///< the class
 };
-
-/** Stable lower-case policy name ("roundrobin", ...). */
-const char *routingPolicyName(RoutingPolicy p);
 
 /**
  * The pure routing decision: index of the backend a @p kind request

@@ -143,10 +143,6 @@ struct RequestResult
      * determinism property replays; 0 on the default single-backend
      * scheduler. */
     int backend = 0;
-    /** Modeled service seconds charged by a modeled backend (Sim/
-     * Analytic, summed over the request's tasks); 0 on a measured
-     * EngineBackend, where serviceSeconds is the truth. */
-    double modeledSeconds = 0.0;
     /** Last failure message (Outcome::Failed only). */
     std::string error;
 };

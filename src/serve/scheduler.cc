@@ -144,7 +144,6 @@ struct Scheduler::Slot
     bool readmitted = false; ///< chunk continuation re-enqueued
     bool kvCold = false;  ///< KV reservation lost; runs pastLen 0
     int chunksDone = 1;   ///< chunk dispatches (1 = unchunked)
-    double modeledSeconds = 0.0; ///< modeled backend charge
 };
 
 /** One fleet shard: a backend with its own admission queue, lane
@@ -158,7 +157,6 @@ struct Scheduler::Shard
     std::unique_ptr<KvPool> pool;
     std::unique_ptr<RequestQueue> queue;
     std::unique_ptr<TaskQueue> lanes;
-    int laneCount = 1;
     int inFlight = 0;           ///< batches dispatched, unfinished
     std::int64_t routed = 0;    ///< placement decisions
     std::int64_t batches = 0;   ///< runs formed on this shard
@@ -204,10 +202,7 @@ Scheduler::Scheduler(SchedulerConfig cfg)
         sh->queue = std::make_unique<RequestQueue>(
             cfg_.maxQueue, cfg_.policy, cfg_.drrQuantumHeads,
             cfg_.prefillChunkRows);
-        sh->laneCount = sh->caps.maxConcurrentRuns > 0
-                            ? sh->caps.maxConcurrentRuns
-                            : std::max(1, cfg_.lanes);
-        sh->lanes = std::make_unique<TaskQueue>(sh->laneCount);
+        sh->lanes = std::make_unique<TaskQueue>(cfg_.lanes);
         shards_.push_back(std::move(sh));
     }
     for (auto &sh : shards_)
@@ -428,7 +423,7 @@ Scheduler::dispatchLoop(Shard &shard)
             cv_.wait(lk, [&] {
                 return closing_ ||
                        (started_ &&
-                        shard.inFlight < shard.laneCount);
+                        shard.inFlight < shard.lanes->workers());
             });
         }
         std::vector<PendingRequest> batch =
@@ -480,7 +475,6 @@ Scheduler::resolveSlot(Shard &shard, Slot &slot, Outcome outcome,
     rr.kvCold = slot.kvCold;
     rr.chunks = slot.chunksDone;
     rr.backend = slot.p.backend;
-    rr.modeledSeconds = slot.modeledSeconds;
     rr.error = std::move(error);
     // KV-pool bookkeeping: finished requests stay resident as idle
     // reusable cache (LRU-evictable under pressure); abandoned ones
@@ -598,9 +592,6 @@ Scheduler::runSoloWithRetry(Shard &shard, Slot &slot,
                             std::string());
                 return;
             }
-            slot.modeledSeconds = 0.0;
-            for (std::size_t t : slot.taskIdx)
-                slot.modeledSeconds += run->modeledTaskSeconds(t);
             EngineResult res = run->finish();
             {
                 std::lock_guard<std::mutex> lk(m_);
@@ -772,12 +763,6 @@ Scheduler::runBatch(Shard &shard, std::vector<PendingRequest> batch)
                 for (Slot *s : merged_slots)
                     ++s->attempts; // the merged run was attempt 0
                 if (ran) {
-                    for (Slot *s : merged_slots) {
-                        s->modeledSeconds = 0.0;
-                        for (std::size_t t : s->taskIdx)
-                            s->modeledSeconds +=
-                                run->modeledTaskSeconds(t);
-                    }
                     EngineResult merged = run->finish();
                     // Count executed work before any promise
                     // resolves, so a caller observing its future

@@ -33,17 +33,18 @@
  * counters, so pool-on vs pool-off op totals reconcile exactly.
  *
  * Multi-backend fleet (serving v3): the lanes sit behind a fleet of
- * executor Backends (serve/backend) — in-process engines with their
- * own thread pools, cycle-model simulators, analytic GPU/TPU models.
- * Each backend gets a shard: its own admission queue, KV pool
- * (decode-capable backends only — the "KV-cache-warm" class), lane
- * TaskQueue and dispatcher. Requests are placed on a shard at
- * admission by the RoutingPolicy (round-robin default — one implicit
- * EngineBackend reproduces the single-engine scheduler bit-exactly —
- * least-queue-depth, or prefill/decode disaggregation). Every
- * backend executes identical per-task numerics, so the bit-exactness
- * contract holds for any fleet mix; RequestResult.backend records
- * the placement for the routing-determinism property tests.
+ * executor Backends (serve/backend) — in-process EngineBackends,
+ * each on its own thread pool or a shared one, serving prefill,
+ * decode or both. Each backend gets a shard: its own admission
+ * queue, KV pool (decode-capable backends only — the "KV-cache-warm"
+ * class), lane TaskQueue and dispatcher. Requests are placed on a
+ * shard at admission by the RoutingPolicy (round-robin default — one
+ * implicit EngineBackend reproduces the single-engine scheduler
+ * bit-exactly — least-queue-depth, or prefill/decode
+ * disaggregation). Every backend executes identical per-task
+ * numerics, so the bit-exactness contract holds for any fleet;
+ * RequestResult.backend records the placement for the
+ * routing-determinism property tests.
  *
  * Fault tolerance (the robustness layer): per-request deadlines
  * cancel expired work cooperatively at EngineRun stage boundaries

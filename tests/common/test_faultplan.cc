@@ -139,6 +139,14 @@ TEST(FaultPlan, ParseErrors)
                  std::invalid_argument);
     EXPECT_THROW(FaultPlan::parse("fail:prob<0.5"),
                  std::invalid_argument); // '<' is attempt-only
+    EXPECT_THROW(FaultPlan::parse("fail:req=-1"),
+                 std::invalid_argument); // would wrap to 2^64 - 1
+    EXPECT_THROW(FaultPlan::parse("fail:seed=-5"),
+                 std::invalid_argument);
+    EXPECT_THROW(FaultPlan::parse("slow:ms=inf"),
+                 std::invalid_argument);
+    EXPECT_THROW(FaultPlan::parse("slow:ms=1e308"),
+                 std::invalid_argument); // above the 60 s cap
 }
 
 TEST(FaultPlan, DescribeRoundTrips)

@@ -4,9 +4,11 @@
  * scheduler (serve/backend + serve/scheduler): seeded random traces
  * (mixed tenants, prefill/decode blends, deadline opt-outs,
  * occasional SOFA_FAULTS plans) replayed twice on randomly drawn
- * fleet shapes must reproduce identical routing decisions
- * (RequestResult.backend), identical outcome counts and per-shard
- * stats, and bit-exact engine results for every surviving request.
+ * fleets — EngineBackends on the shared pool or on owned pools,
+ * decode-capable or prefill-only — must reproduce identical routing
+ * decisions (RequestResult.backend), identical outcome counts and
+ * per-shard stats, and bit-exact engine results for every surviving
+ * request.
  * Plus the no-starvation/balance property of least-queue-depth
  * placement over equal backends.
  */
@@ -28,14 +30,12 @@ namespace sofa {
 namespace serve {
 namespace {
 
-/** Backend shapes the fleet sampler draws from. */
-enum class Kind { Engine, EnginePool, Sim, Gpu };
-
 /** Everything one case needs, drawn up-front so both replays see
  * the identical plan. */
 struct CasePlan
 {
-    std::vector<Kind> fleet;
+    /** Per backend: an owned 2-thread pool (else the shared one). */
+    std::vector<bool> ownedPool;
     std::vector<bool> decodeCapable; ///< per backend
     RoutingPolicy routing = RoutingPolicy::RoundRobin;
     std::vector<Request> trace;
@@ -58,15 +58,7 @@ drawPlan(int c, Rng &rng)
         static_cast<int>(rng.uniformInt(1, 4));
     bool any_decode = false;
     for (int i = 0; i < fleet_size; ++i) {
-        const double d = rng.uniform(0.0, 1.0);
-        if (d < 0.55)
-            plan.fleet.push_back(Kind::Engine);
-        else if (d < 0.7)
-            plan.fleet.push_back(Kind::EnginePool);
-        else if (d < 0.85)
-            plan.fleet.push_back(Kind::Sim);
-        else
-            plan.fleet.push_back(Kind::Gpu);
+        plan.ownedPool.push_back(rng.bernoulli(0.3));
         // Some backends are prefill-only (the disaggregation
         // class); at least one must keep decode capability.
         const bool decode = rng.bernoulli(0.75);
@@ -120,44 +112,14 @@ std::vector<std::shared_ptr<Backend>>
 makeFleet(const CasePlan &plan, const EngineConfig &ecfg)
 {
     std::vector<std::shared_ptr<Backend>> fleet;
-    for (std::size_t i = 0; i < plan.fleet.size(); ++i) {
-        BackendCapabilities caps;
-        caps.supportsDecode = plan.decodeCapable[i];
-        switch (plan.fleet[i]) {
-          case Kind::Engine: {
-            EngineBackendConfig c;
-            c.engine = ecfg;
-            c.caps = caps;
-            c.name = "engine" + std::to_string(i);
-            fleet.push_back(std::make_shared<EngineBackend>(c));
-            break;
-          }
-          case Kind::EnginePool: {
-            EngineBackendConfig c;
-            c.engine = ecfg;
-            c.threads = 2;
-            c.caps = caps;
-            c.name = "pool" + std::to_string(i);
-            fleet.push_back(std::make_shared<EngineBackend>(c));
-            break;
-          }
-          case Kind::Sim: {
-            SimBackendConfig c;
-            c.engine = ecfg;
-            c.caps = caps;
-            c.name = "sim" + std::to_string(i);
-            fleet.push_back(std::make_shared<SimBackend>(c));
-            break;
-          }
-          case Kind::Gpu: {
-            AnalyticBackendConfig c;
-            c.engine = ecfg;
-            c.caps = caps;
-            c.name = "gpu" + std::to_string(i);
-            fleet.push_back(std::make_shared<AnalyticBackend>(c));
-            break;
-          }
-        }
+    for (std::size_t i = 0; i < plan.ownedPool.size(); ++i) {
+        const bool owned = plan.ownedPool[i];
+        EngineBackendConfig c;
+        c.engine = ecfg;
+        c.threads = owned ? 2 : 0;
+        c.caps.supportsDecode = plan.decodeCapable[i];
+        c.name = (owned ? "pool" : "engine") + std::to_string(i);
+        fleet.push_back(std::make_shared<EngineBackend>(c));
     }
     return fleet;
 }
