@@ -1,7 +1,9 @@
 #include "core/dlzs.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <vector>
 
 #include "common/bits.h"
 #include "common/logging.h"
@@ -149,220 +151,215 @@ dlzsAPredictionScalar(const LzMatrix &q_lz, const MatI16 &k_hat,
 
 #if SOFA_SIMD_COMPILED_AVX2
 
-// The AVX2 prediction bodies work in four-wide int64 lanes: the
-// largest magnitude a DLZS product can reach is 2^15 << 16 = 2^31
-// (A-prediction with k = INT16_MIN and LZ = 0), which overflows
-// int32 but sits comfortably in int64, and vpsllvq gives the
-// per-lane variable shift Eq. 1c needs. All accumulation is
-// two's-complement addition, so lane order never changes a result:
-// the vector paths are bit-identical to the Scalar baselines, and op
-// tallies are reconstructed exactly from the zero-lane counts.
+// The AVX2 bodies are double-precision GEMMs. A DLZS product
+// sign * (|x| << (W - lz)) is exactly x * m with m = +-2^(W - lz)
+// (0 for an eliminated zero), so K-hat = X * M_w and
+// A-hat = M_q * K-hat^T. Every term and partial sum is an integer,
+// and below 2^53 (asserted) a double holds it exactly: any blocking
+// or summation order gives the Scalar baselines' integers bit for
+// bit. The op tallies follow in closed form from zero counts.
 
 namespace {
 
-static_assert(sizeof(LzCode) == 2, "LzCode must pack sign+lz bytes");
-static_assert(offsetof(LzCode, sign) == 0 && offsetof(LzCode, lz) == 1,
-              "LzCode byte layout assumed by the AVX2 decode");
-
-/** Integer horizontal sum; int64 addition commutes, any order. */
-SOFA_TARGET_AVX2 inline std::int64_t
-hsumEpi64(__m256i v)
+/** The multiplier Eq. 1c's shift applies: +-2^(W - lz), 0 for an
+ * eliminated zero. */
+inline double
+lzValue(LzCode c, int width)
 {
-    const __m128i lo = _mm256_castsi256_si128(v);
-    const __m128i hi = _mm256_extracti128_si256(v, 1);
-    const __m128i s = _mm_add_epi64(lo, hi);
-    return _mm_cvtsi128_si64(s) + _mm_extract_epi64(s, 1);
+    if (c.isZero())
+        return 0.0;
+    SOFA_ASSERT(c.lz <= width); // else the shift is not a multiply
+    const double mag =
+        static_cast<double>(std::int64_t{1} << (width - c.lz));
+    return c.sign < 0 ? -mag : mag;
 }
 
-/** |x| per int64 lane (values far from INT64_MIN here). */
-SOFA_TARGET_AVX2 inline __m256i
-absEpi64(__m256i x)
+constexpr std::size_t kMr = 4; ///< rows of a register tile
+constexpr std::size_t kNr = 8; ///< columns of one (two __m256d)
+
+/**
+ * c[r * kNr + j] = sum_t a[r * K + t] * b[t * ldb + j] over @p K
+ * terms: the register tile both GEMMs run on, @p a a block of kMr
+ * rows. Plain mul + add: FMA would need its own CPU check, and the
+ * sums are exact either way.
+ */
+SOFA_TARGET_AVX2 inline void
+gemmTile(const double *a, const double *b, std::size_t ldb,
+         std::size_t K, double *c)
 {
-    const __m256i neg =
-        _mm256_cmpgt_epi64(_mm256_setzero_si256(), x);
-    return _mm256_sub_epi64(_mm256_xor_si256(x, neg), neg);
+    __m256d lo[kMr], hi[kMr];
+    for (std::size_t r = 0; r < kMr; ++r)
+        lo[r] = hi[r] = _mm256_setzero_pd();
+    for (std::size_t t = 0; t < K; ++t) {
+        const __m256d b0 = _mm256_loadu_pd(b + t * ldb);
+        const __m256d b1 = _mm256_loadu_pd(b + t * ldb + 4);
+        for (std::size_t r = 0; r < kMr; ++r) {
+            const __m256d ar = _mm256_broadcast_sd(a + r * K + t);
+            lo[r] = _mm256_add_pd(lo[r], _mm256_mul_pd(ar, b0));
+            hi[r] = _mm256_add_pd(hi[r], _mm256_mul_pd(ar, b1));
+        }
+    }
+    for (std::size_t r = 0; r < kMr; ++r) {
+        _mm256_storeu_pd(c + r * kNr, lo[r]);
+        _mm256_storeu_pd(c + r * kNr + 4, hi[r]);
+    }
 }
 
-/** Negate lanes of @p v where @p flip is all-ones. */
-SOFA_TARGET_AVX2 inline __m256i
-negateWhere(__m256i v, __m256i flip)
+inline bool isZero(std::int64_t v) { return v == 0; }
+inline bool isZero(LzCode c) { return c.isZero(); }
+
+/** z[t] = rows i of @p m whose entry (i, t) is zero. */
+template <typename T>
+SOFA_TARGET_AVX2 std::vector<std::int64_t>
+columnZeros(const Matrix<T> &m)
 {
-    return _mm256_sub_epi64(_mm256_xor_si256(v, flip), flip);
+    std::vector<std::int64_t> z(m.cols(), 0);
+    for (std::size_t i = 0; i < m.rows(); ++i)
+        for (std::size_t t = 0; t < m.cols(); ++t)
+            z[t] += isZero(m(i, t)) ? 1 : 0;
+    return z;
 }
 
-/** Four consecutive LzCodes decoded to int64 lanes: sign-negative
- * mask, zero mask (sign == 0), and the lz field zero-extended. */
-struct Codes4
+/**
+ * Charge the Scalar baselines' tally for an A x B output reduced over
+ * t, where za[t] of the A rows and zb[t] of the B columns are zero at
+ * t: a cmp per pair skipped on a zero, a shift and an add per other.
+ */
+void
+chargePairs(const std::vector<std::int64_t> &za, std::size_t A,
+            const std::vector<std::int64_t> &zb, std::size_t B,
+            OpCounter &ops)
 {
-    __m256i signNeg;
-    __m256i zero;
-    __m256i lz;
-};
-
-SOFA_TARGET_AVX2 inline Codes4
-loadCodes4(const LzCode *codes)
-{
-    const __m128i raw = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(codes));
-    const __m128i sign_shuf = _mm_setr_epi8(
-        0, 2, 4, 6, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
-    const __m128i lz_shuf = _mm_setr_epi8(
-        1, 3, 5, 7, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
-    const __m256i sign64 = _mm256_cvtepi8_epi64(
-        _mm_shuffle_epi8(raw, sign_shuf));
-    Codes4 c;
-    c.signNeg =
-        _mm256_cmpgt_epi64(_mm256_setzero_si256(), sign64);
-    c.zero =
-        _mm256_cmpeq_epi64(sign64, _mm256_setzero_si256());
-    c.lz = _mm256_cvtepu8_epi64(_mm_shuffle_epi8(raw, lz_shuf));
-    return c;
-}
-
-SOFA_TARGET_AVX2 inline int
-popcountMask4(__m256i lane_mask)
-{
-    return __builtin_popcount(static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(lane_mask))));
+    const auto a = static_cast<std::int64_t>(A);
+    const auto b = static_cast<std::int64_t>(B);
+    std::int64_t skips = 0;
+    for (std::size_t t = 0; t < za.size(); ++t)
+        skips += za[t] * b + (a - za[t]) * zb[t];
+    const auto pairs = a * b * static_cast<std::int64_t>(za.size());
+    ops.cmpN(skips);
+    ops.shiftN(pairs - skips);
+    ops.addN(pairs - skips);
 }
 
 SOFA_TARGET_AVX2 MatI64
 dlzsKPredictionAvx2(const MatI8 &tokens, const LzMatrix &wk_lz,
                     OpCounter *ops)
 {
+    SOFA_ASSERT(tokens.cols() == wk_lz.rows());
+    SOFA_ASSERT(wk_lz.width == 8);
     const std::size_t S = tokens.rows();
     const std::size_t n = tokens.cols();
     const std::size_t d = wk_lz.cols();
+    SOFA_ASSERT(n <= std::size_t{1} << 38); // n * 2^15 <= 2^53
 
-    MatI64 k_hat(S, d, 0);
-    std::int64_t skips = 0;  // zero-eliminated pairs (cmp each)
-    std::int64_t active = 0; // shifted-and-accumulated pairs
-    const __m256i w_width = _mm256_set1_epi64x(8);
-    for (std::size_t i = 0; i < S; ++i) {
-        const std::int8_t *xi = tokens.rowPtr(i);
-        std::int64_t *acc = k_hat.rowPtr(i);
-        // i-t-j order: codes row t is contiguous over j, and int64
-        // accumulation into the k_hat row commutes with the scalar
-        // baseline's i-j-t order.
-        for (std::size_t t = 0; t < n; ++t) {
-            const std::int64_t x = xi[t];
-            if (x == 0) {
-                skips += static_cast<std::int64_t>(d);
-                continue;
-            }
-            const __m256i xmag =
-                _mm256_set1_epi64x(x < 0 ? -x : x);
-            const __m256i xneg =
-                _mm256_set1_epi64x(x < 0 ? -1 : 0);
-            const LzCode *row = wk_lz.codes.rowPtr(t);
-            std::int64_t zeros_t = 0;
-            std::size_t j = 0;
-            for (; j + 4 <= d; j += 4) {
-                const Codes4 c = loadCodes4(row + j);
-                const __m256i exp =
-                    _mm256_sub_epi64(w_width, c.lz);
-                const __m256i mag =
-                    _mm256_sllv_epi64(xmag, exp);
-                const __m256i val = _mm256_andnot_si256(
-                    c.zero,
-                    negateWhere(
-                        mag, _mm256_xor_si256(xneg, c.signNeg)));
-                const __m256i prev = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(acc + j));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i *>(acc + j),
-                    _mm256_add_epi64(prev, val));
-                zeros_t += popcountMask4(c.zero);
-            }
-            std::int64_t act_t =
-                static_cast<std::int64_t>(j) - zeros_t;
-            for (; j < d; ++j) {
-                const LzCode w = row[j];
-                if (w.isZero()) {
-                    ++zeros_t;
-                    continue;
-                }
-                acc[j] += dlzsProduct(x, 8, w, 8);
-                ++act_t;
-            }
-            skips += zeros_t;
-            active += act_t;
+    // M_w plus a tile of slack for a last partial tile to read past
+    // d into (those columns are discarded); zw[t] = zeros in row t.
+    std::vector<double> mw(n * d + kNr, 0.0);
+    std::vector<std::int64_t> zw(n, 0);
+    for (std::size_t e = 0; e < n * d; ++e) {
+        mw[e] = lzValue(wk_lz.codes.data()[e], 8);
+        zw[e / d] += isZero(wk_lz.codes.data()[e]) ? 1 : 0;
+    }
+
+    MatI64 k_hat(S, d);
+    std::vector<double> xb(kMr * n); // kMr token rows, zero past S
+    double c[kMr * kNr];
+    for (std::size_t i0 = 0; i0 < S; i0 += kMr) {
+        const std::size_t rows = std::min(kMr, S - i0);
+        for (std::size_t e = 0; e < kMr * n; ++e)
+            xb[e] = e < rows * n ? tokens.data()[i0 * n + e] : 0;
+        for (std::size_t j0 = 0; j0 < d; j0 += kNr) {
+            gemmTile(xb.data(), mw.data() + j0, d, n, c);
+            for (std::size_t r = 0; r < rows; ++r)
+                for (std::size_t j = j0; j < std::min(d, j0 + kNr); ++j)
+                    k_hat(i0 + r, j) = c[r * kNr + j - j0];
         }
     }
-    if (ops) {
-        ops->cmpN(skips);
-        ops->shiftN(active);
-        ops->addN(active);
-    }
+    if (ops)
+        chargePairs(columnZeros(tokens), S, zw, d, *ops);
     return k_hat;
 }
 
-SOFA_TARGET_AVX2 MatI64
-dlzsAPredictionAvx2(const LzMatrix &q_lz, const MatI16 &k_hat,
-                    OpCounter *ops)
+/** sum_t m[t] * k[t] over @p d terms: one A-hat entry, unpacked. */
+SOFA_TARGET_AVX2 inline double
+dotI16(const double *m, const std::int16_t *k, std::size_t d)
 {
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    std::size_t t = 0;
+    for (; t + 8 <= d; t += 8) {
+        const __m128i k16 = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(k + t));
+        const __m256d k0 = _mm256_cvtepi32_pd(_mm_cvtepi16_epi32(k16));
+        const __m256d k1 = _mm256_cvtepi32_pd(
+            _mm_cvtepi16_epi32(_mm_unpackhi_epi64(k16, k16)));
+        acc0 = _mm256_add_pd(
+            acc0, _mm256_mul_pd(_mm256_loadu_pd(m + t), k0));
+        acc1 = _mm256_add_pd(
+            acc1, _mm256_mul_pd(_mm256_loadu_pd(m + t + 4), k1));
+    }
+    double lane[4];
+    _mm256_storeu_pd(lane, _mm256_add_pd(acc0, acc1));
+    double s = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+    for (; t < d; ++t)
+        s += m[t] * k[t];
+    return s;
+}
+
+/** A-hat times @p scale as a T x S Out matrix: the AVX2 body of
+ * dlzsAPrediction (int64, scale 1) and of dlzsPredict's scores. */
+template <typename Out>
+SOFA_TARGET_AVX2 Matrix<Out>
+aPredictionAvx2(const LzMatrix &q_lz, const MatI16 &k_hat,
+                double scale, OpCounter *ops)
+{
+    SOFA_ASSERT(q_lz.cols() == k_hat.cols());
+    SOFA_ASSERT(q_lz.width == 16);
     const std::size_t T = q_lz.rows();
     const std::size_t S = k_hat.rows();
     const std::size_t d = k_hat.cols();
+    SOFA_ASSERT(d <= std::size_t{1} << 22); // d * 2^31 <= 2^53
 
-    MatI64 a_hat(T, S, 0);
-    std::int64_t skips = 0;
-    std::int64_t active = 0;
-    const __m256i q_width = _mm256_set1_epi64x(16);
-    const __m256i zero = _mm256_setzero_si256();
-    for (std::size_t i = 0; i < T; ++i) {
-        const LzCode *qrow = q_lz.codes.rowPtr(i);
-        for (std::size_t j = 0; j < S; ++j) {
-            const std::int16_t *kj = k_hat.rowPtr(j);
-            __m256i vacc = zero;
-            std::int64_t zeros_ij = 0;
-            std::size_t t = 0;
-            for (; t + 4 <= d; t += 4) {
-                const __m256i k64 =
-                    _mm256_cvtepi16_epi64(_mm_loadl_epi64(
-                        reinterpret_cast<const __m128i *>(kj +
-                                                          t)));
-                const Codes4 c = loadCodes4(qrow + t);
-                const __m256i kzero =
-                    _mm256_cmpeq_epi64(k64, zero);
-                const __m256i skip =
-                    _mm256_or_si256(kzero, c.zero);
-                const __m256i kneg =
-                    _mm256_cmpgt_epi64(zero, k64);
-                const __m256i exp =
-                    _mm256_sub_epi64(q_width, c.lz);
-                const __m256i mag =
-                    _mm256_sllv_epi64(absEpi64(k64), exp);
-                const __m256i val = _mm256_andnot_si256(
-                    skip,
-                    negateWhere(
-                        mag, _mm256_xor_si256(kneg, c.signNeg)));
-                vacc = _mm256_add_epi64(vacc, val);
-                zeros_ij += popcountMask4(skip);
-            }
-            std::int64_t acc = hsumEpi64(vacc);
-            std::int64_t act_ij =
-                static_cast<std::int64_t>(t) - zeros_ij;
-            for (; t < d; ++t) {
-                const LzCode qc = qrow[t];
-                if (kj[t] == 0 || qc.isZero()) {
-                    ++zeros_ij;
-                    continue;
-                }
-                acc += dlzsProduct(kj[t], 16, qc, 16);
-                ++act_ij;
-            }
-            a_hat(i, j) = acc;
-            skips += zeros_ij;
-            active += act_ij;
+    // K-hat^T as kNr-column panels, each t-major and zero past S.
+    // Decode steps (T < kMr) skip it: packing would cost as much as
+    // the product, so their entries are direct dot products.
+    const bool packed = T >= kMr;
+    const std::size_t panels = (S + kNr - 1) / kNr;
+    std::vector<double> kt(packed ? panels * d * kNr : 0, 0.0);
+    for (std::size_t j = 0; packed && j < S; ++j)
+        for (std::size_t t = 0; t < d; ++t)
+            kt[(j / kNr * d + t) * kNr + j % kNr] = k_hat(j, t);
+
+    Matrix<Out> out(T, S);
+    std::vector<double> qb(kMr * d); // kMr query rows, zero past T
+    double c[kMr * kNr];
+    for (std::size_t i0 = 0; i0 < T; i0 += kMr) {
+        const std::size_t rows = std::min(kMr, T - i0);
+        for (std::size_t e = 0; e < kMr * d; ++e)
+            qb[e] = e < rows * d
+                        ? lzValue(q_lz.codes.data()[i0 * d + e], 16)
+                        : 0.0;
+        if (!packed) {
+            for (std::size_t j = 0; j < S; ++j)
+                for (std::size_t i = 0; i < T; ++i)
+                    out(i, j) = static_cast<Out>(
+                        dotI16(qb.data() + i * d, k_hat.rowPtr(j), d) *
+                        scale);
+            continue;
+        }
+        for (std::size_t p = 0; p < panels; ++p) {
+            gemmTile(qb.data(), kt.data() + p * d * kNr, kNr, d, c);
+            const std::size_t j0 = p * kNr;
+            for (std::size_t r = 0; r < rows; ++r)
+                for (std::size_t j = j0; j < std::min(S, j0 + kNr); ++j)
+                    out(i0 + r, j) =
+                        static_cast<Out>(c[r * kNr + j - j0] * scale);
         }
     }
-    if (ops) {
-        ops->cmpN(skips);
-        ops->shiftN(active);
-        ops->addN(active);
-    }
-    return a_hat;
+    if (ops)
+        chargePairs(columnZeros(q_lz.codes), T, columnZeros(k_hat), S,
+                    *ops);
+    return out;
 }
 
 } // namespace
@@ -374,11 +371,8 @@ dlzsKPrediction(const MatI8 &tokens, const LzMatrix &wk_lz,
                 OpCounter *ops)
 {
 #if SOFA_SIMD_COMPILED_AVX2
-    if (simd::active() == simd::Level::Avx2) {
-        SOFA_ASSERT(tokens.cols() == wk_lz.rows());
-        SOFA_ASSERT(wk_lz.width == 8);
+    if (simd::active() == simd::Level::Avx2)
         return dlzsKPredictionAvx2(tokens, wk_lz, ops);
-    }
 #endif
     return dlzsKPredictionScalar(tokens, wk_lz, ops);
 }
@@ -388,11 +382,8 @@ dlzsAPrediction(const LzMatrix &q_lz, const MatI16 &k_hat,
                 OpCounter *ops)
 {
 #if SOFA_SIMD_COMPILED_AVX2
-    if (simd::active() == simd::Level::Avx2) {
-        SOFA_ASSERT(q_lz.cols() == k_hat.cols());
-        SOFA_ASSERT(q_lz.width == 16);
-        return dlzsAPredictionAvx2(q_lz, k_hat, ops);
-    }
+    if (simd::active() == simd::Level::Avx2)
+        return aPredictionAvx2<std::int64_t>(q_lz, k_hat, 1.0, ops);
 #endif
     return dlzsAPredictionScalar(q_lz, k_hat, ops);
 }
@@ -474,18 +465,27 @@ dlzsPredict(const MatF &tokens, const MatF &wk, const MatF &q)
     // Phase 1.2: A-hat, with Q encoded by the runtime (configurable)
     // LZE in 16-bit mode.
     LzMatrix q_lz = lzEncodeI16(q_q.values, &pred.ops);
-    MatI64 a_acc = dlzsAPrediction(q_lz, pred.kHat, &pred.ops);
 
     // Descale to float so downstream stages see score magnitudes
     // comparable to the exact Q K^T. The DLZS shift substitutes
     // 2^(W-LZ) = y/M for the encoded operand y, with mantissa M in
     // [0.5, 1), so each product overestimates by 1/M; for uniformly
     // distributed operands E[1/M] = ln(2)/0.5 ~ 1.386, the debias
-    // divisor applied per encoded phase.
+    // divisor applied per encoded phase. The AVX2 GEMM descales as it
+    // stores, the Scalar level after its int64 loop: same bits.
     constexpr double kLzBias = 1.3863;
     const double k_scale = x_q.scale * w_q.scale *
                            std::pow(2.0, pred.kShift) / kLzBias;
     const double a_scale = k_scale * q_q.scale / kLzBias;
+#if SOFA_SIMD_COMPILED_AVX2
+    if (simd::active() == simd::Level::Avx2) {
+        pred.scoresHat =
+            aPredictionAvx2<float>(q_lz, pred.kHat, a_scale, &pred.ops);
+        return pred;
+    }
+#endif
+    const MatI64 a_acc =
+        dlzsAPredictionScalar(q_lz, pred.kHat, &pred.ops);
     pred.scoresHat = MatF(a_acc.rows(), a_acc.cols());
     for (std::size_t i = 0; i < a_acc.data().size(); ++i) {
         pred.scoresHat.data()[i] =

@@ -86,11 +86,15 @@ std::int64_t dlzsProduct(std::int64_t x, int x_width, LzCode y,
  *                zero-eliminator comparisons
  * @return int64 accumulators [S x d] (caller truncates to 16 bit)
  *
- * Runtime-dispatched (tensor/simd.h): the AVX2 body vectorizes the
- * shift-accumulate over contiguous weight-code rows. Accumulation is
- * two's-complement int64 addition — associative and commutative — so
- * the result and the OpCounter totals are bit-identical to the
- * Scalar baseline, which keeps the seed's loop nest verbatim.
+ * Runtime-dispatched (tensor/simd.h). The Scalar baseline keeps the
+ * seed's loop nest verbatim. The AVX2 body is a register-blocked
+ * double GEMM X * M_w, where M_w holds each code's value
+ * +-2^(8 - lz) (0 for an eliminated zero): every term is an integer
+ * of magnitude <= 2^15 and every partial sum one below n * 2^15, exact
+ * in double, so the result is bit-identical to the baseline. The
+ * OpCounter totals match too, computed in closed form from zero
+ * counts: skips = sum_t [zx_t * d + (S - zx_t) * zw_t] for zx_t zero
+ * tokens in column t and zw_t zero codes in weight row t.
  */
 MatI64 dlzsKPrediction(const MatI8 &tokens, const LzMatrix &wk_lz,
                        OpCounter *ops = nullptr);
@@ -105,8 +109,12 @@ MatI64 dlzsKPredictionScalar(const MatI8 &tokens,
  * @param k_hat  truncated K-hat [S x d]
  * @return int64 score estimates [T x S]
  *
- * Runtime-dispatched like dlzsKPrediction; bit-identical to the
- * Scalar baseline (including op totals) at every dispatch level.
+ * Runtime-dispatched like dlzsKPrediction: the AVX2 body is the
+ * double GEMM M_q * K-hat^T (terms <= 2^31, sums below d * 2^31),
+ * K-hat^T packed into 8-column panels unless T < 4, where each entry
+ * is a direct dot product instead. Bit-identical to the Scalar
+ * baseline, op totals included (skips = sum_t [zq_t * S +
+ * (T - zq_t) * zk_t], zero queries / K-hat rows in column t).
  */
 MatI64 dlzsAPrediction(const LzMatrix &q_lz, const MatI16 &k_hat,
                        OpCounter *ops = nullptr);
@@ -141,7 +149,8 @@ struct DlzsPrediction
  * Run both DLZS phases on float inputs: quantizes tokens to int8 and
  * queries to int16, encodes weights offline, and returns a float
  * estimate of the attention scores (descaled), as the SADS stage
- * consumes it.
+ * consumes it. At the AVX2 level the A-hat GEMM writes the descaled
+ * scores directly; the bits equal the Scalar level's.
  */
 DlzsPrediction dlzsPredict(const MatF &tokens, const MatF &wk,
                            const MatF &q);

@@ -29,7 +29,7 @@ struct EngineState
     const std::vector<HeadTask> &tasks;
 
     std::vector<int> keep;              ///< per-head k
-    std::vector<DlzsPrediction> preds;  ///< DLZS stage output
+    std::vector<DlzsPrediction> preds;  ///< DLZS output, freed by SADS
     std::vector<SadsResult> sads;       ///< SADS stage output
     std::vector<HeadResult> heads;      ///< results being assembled
     std::vector<char> cancelled;        ///< per-task cancel flags
@@ -217,6 +217,10 @@ class SadsStage : public Stage
             st.heads[i].result.sortOps = st.sads[i].ops;
             st.heads[i].result.selections = st.sads[i].selections();
         }
+        // Nothing reads A-hat or K-hat after selection: free them here
+        // (cancelled heads too) rather than hold T x S floats per head
+        // through the KV and SU-FA steps.
+        st.preds.clear();
     }
 };
 

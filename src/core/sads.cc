@@ -204,7 +204,10 @@ sadsTopKRows(const MatF &scores, int k, const SadsConfig &cfg,
 
     Scratch s;
     s.chunk.resize(static_cast<std::size_t>(cfg.sorterInputs));
-    OpCounter &result_ops = *ops;
+    // Tally locally and add to *ops once: callers hand neighbouring
+    // row ranges adjacent counters, and per-segment updates there
+    // would bounce that cache line between cores (false sharing).
+    OpCounter result_ops;
     for (std::size_t r = row_begin; r < row_end; ++r) {
         const float *row = scores.rowPtr(r);
         SadsRow &out = (*rows)[r];
@@ -266,6 +269,7 @@ sadsTopKRows(const MatF &scores, int k, const SadsConfig &cfg,
         out.top1 = selected.empty() ? -1 : keyIndex(selected[0]);
         out.top2 = selected.size() > 1 ? keyIndex(selected[1]) : -1;
     }
+    *ops += result_ops;
 }
 
 SadsResult

@@ -49,7 +49,13 @@ sufaAttentionRows(const MatF &q, const MatF &k, const MatF &v,
     SOFA_ASSERT(row_end <= q.rows());
 
     const std::size_t d = q.cols();
-    OpCounter &ops = *ops_out;
+    // Tally into locals and add to the caller's slots once at the end:
+    // the engine hands neighbouring row-tile units adjacent slots, and
+    // bumping them per key would bounce that cache line between the
+    // cores running those units (false sharing).
+    OpCounter ops;
+    std::int64_t viol = 0;
+    std::int64_t tile_count = 0;
 
     std::vector<double> acc(d);
     for (std::size_t r = row_begin; r < row_end; ++r) {
@@ -69,7 +75,7 @@ sufaAttentionRows(const MatF &q, const MatF &k, const MatF &v,
         const std::size_t Bc = static_cast<std::size_t>(cfg.blockCols);
         for (std::size_t t0 = 0; t0 < n; t0 += Bc) {
             const std::size_t te = std::min(n, t0 + Bc);
-            ++*tiles;
+            ++tile_count;
             for (std::size_t t = t0; t < te; ++t) {
                 const int key = order[t];
                 const double s = score(qr, k.rowPtr(key), d, cfg);
@@ -96,7 +102,7 @@ sufaAttentionRows(const MatF &q, const MatF &k, const MatF &v,
                     ops.cmpN(1);
                     if (s > m) {
                         // Misprediction: rescale like FA-2 would.
-                        ++*violations;
+                        ++viol;
                         const double f = std::exp(m - s);
                         l *= f;
                         for (std::size_t c = 0; c < d; ++c)
@@ -130,7 +136,7 @@ sufaAttentionRows(const MatF &q, const MatF &k, const MatF &v,
                     double m_new = std::max(m, s);
                     const double f = std::exp(m - m_new);
                     if (s < m)
-                        ++*violations; // out-of-order predict
+                        ++viol; // out-of-order predict
                     const double p = std::exp(s - m_new);
                     l = l * f + p; // p == 1 under correct ordering
                     ops.expN(1);
@@ -157,6 +163,9 @@ sufaAttentionRows(const MatF &q, const MatF &k, const MatF &v,
             out[c] = static_cast<float>(acc[c] * inv);
         ops.mulN(static_cast<std::int64_t>(d));
     }
+    *ops_out += ops;
+    *violations += viol;
+    *tiles += tile_count;
 }
 
 SufaResult

@@ -9,8 +9,9 @@
  * in the same sequential lane order; the min/max scan maps the scalar
  * ternaries onto vminps/vmaxps, whose NaN semantics match exactly;
  * the survivor scan is a compare + compress whose index order equals
- * the scalar left-to-right filter. Integer kernels (DLZS, in
- * core/dlzs.cc) are exact by two's-complement commutativity. That
+ * the scalar left-to-right filter. The DLZS kernels (core/dlzs.cc)
+ * are double GEMMs whose every term and partial sum is an integer
+ * below 2^53, hence exact in any order. That
  * bit-exactness is what lets goldens, the determinism tests, and the
  * engine's any-thread-count guarantee survive the vector datapaths
  * (the Occamy lesson: utilization from explicit SIMD, not from

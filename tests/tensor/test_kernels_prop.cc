@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "core/dlzs.h"
+#include "model/model_workload.h"
 #include "tensor/kernels.h"
 #include "tensor/simd.h"
 #include "testprop.h"
@@ -157,22 +159,74 @@ expectSameOps(const OpCounter &a, const OpCounter &b, int c)
     ASSERT_EQ(a.exps(), b.exps()) << "case " << c;
 }
 
+/**
+ * Overwrite up to three whole rows or columns of @p m (or, rarely, all
+ * of it) with one of @p lo, @p hi, -@p hi or 0: lines of the
+ * exactness bound's extreme terms and all-zero rows and columns.
+ */
+template <typename T>
+void
+paintLines(Rng &rng, Matrix<T> &m, T lo, T hi)
+{
+    if (m.empty() || rng.bernoulli(0.4))
+        return;
+    const T values[] = {lo, hi, static_cast<T>(-hi), T{0}};
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+    };
+    if (rng.bernoulli(0.1)) {
+        std::fill(m.data().begin(), m.data().end(), values[pick(4)]);
+        return;
+    }
+    for (std::size_t l = 0, lines = 1 + pick(3); l < lines; ++l) {
+        const T v = values[pick(4)];
+        if (rng.bernoulli(0.5)) {
+            const std::size_t c = pick(m.cols());
+            for (std::size_t r = 0; r < m.rows(); ++r)
+                m(r, c) = v;
+        } else {
+            const std::size_t r = pick(m.rows());
+            std::fill(m.rowPtr(r), m.rowPtr(r) + m.cols(), v);
+        }
+    }
+}
+
+/** A size in [lo, hi] with a 1-in-6 chance of one in [64, 100]: the
+ * AVX2 GEMMs tile 4 rows x 8 columns, so small sizes straddle those
+ * multiples and the large ones run many whole tiles. */
+std::size_t
+drawSize(Rng &rng, std::size_t lo, std::size_t hi, std::size_t lane)
+{
+    if (rng.bernoulli(1.0 / 6.0))
+        return static_cast<std::size_t>(rng.uniformInt(64, 100));
+    return testprop::edgeSize(rng, lo, hi, lane);
+}
+
+template <typename T>
+Matrix<T>
+sparseMatrix(Rng &rng, std::size_t rows, std::size_t cols,
+             std::int64_t lo, std::int64_t hi)
+{
+    Matrix<T> m(rows, cols);
+    const std::vector<T> v =
+        testprop::sparseInts<T>(rng, rows * cols, lo, hi);
+    std::copy(v.begin(), v.end(), m.data().begin());
+    paintLines<T>(rng, m, static_cast<T>(lo), static_cast<T>(hi));
+    return m;
+}
+
 TEST(KernelsProp, DlzsKPredictionSimdBitExactWithExactOps)
 {
-    testprop::forEachSeededCase(60, [&](int c, Rng &rng) {
-        const std::size_t S = testprop::edgeSize(rng, 0, 24, 4);
-        const std::size_t n = testprop::edgeSize(rng, 1, 24, 4);
-        const std::size_t d = testprop::edgeSize(rng, 0, 40, 4);
-
-        MatI8 tokens(S, n);
-        const std::vector<std::int8_t> tok =
-            testprop::sparseInts<std::int8_t>(rng, S * n, -128, 127);
-        std::copy(tok.begin(), tok.end(), tokens.data().begin());
-        MatI8 wk(n, d);
-        const std::vector<std::int8_t> w =
-            testprop::sparseInts<std::int8_t>(rng, n * d, -128, 127);
-        std::copy(w.begin(), w.end(), wk.data().begin());
-        const LzMatrix wk_lz = lzEncodeI8(wk);
+    testprop::forEachSeededCase(200, [&](int c, Rng &rng) {
+        const std::size_t S = drawSize(rng, 0, 24, 4);
+        const std::size_t n = drawSize(rng, 1, 24, 8);
+        const std::size_t d = drawSize(rng, 0, 40, 8);
+        // int8 -128 times an LZ-0 weight is the largest term, 2^15.
+        const MatI8 tokens =
+            sparseMatrix<std::int8_t>(rng, S, n, -128, 127);
+        const LzMatrix wk_lz =
+            lzEncodeI8(sparseMatrix<std::int8_t>(rng, n, d, -128, 127));
 
         OpCounter ref_ops, got_ops;
         const MatI64 ref =
@@ -193,24 +247,20 @@ TEST(KernelsProp, DlzsKPredictionSimdBitExactWithExactOps)
 
 TEST(KernelsProp, DlzsAPredictionSimdBitExactWithExactOps)
 {
-    testprop::forEachSeededCase(60, [&](int c, Rng &rng) {
-        const std::size_t T = testprop::edgeSize(rng, 0, 12, 4);
-        const std::size_t S = testprop::edgeSize(rng, 0, 24, 4);
-        const std::size_t d = testprop::edgeSize(rng, 1, 40, 4);
-
-        MatI16 q(T, d);
-        // Full int16 range including INT16_MIN: |k| << 16 reaching
-        // 2^31 is the overflow edge the int64 lanes must absorb.
-        const std::vector<std::int16_t> qv =
-            testprop::sparseInts<std::int16_t>(rng, T * d, -32768,
-                                               32767);
-        std::copy(qv.begin(), qv.end(), q.data().begin());
-        MatI16 k_hat(S, d);
-        const std::vector<std::int16_t> kv =
-            testprop::sparseInts<std::int16_t>(rng, S * d, -32768,
-                                               32767);
-        std::copy(kv.begin(), kv.end(), k_hat.data().begin());
-        const LzMatrix q_lz = lzEncodeI16(q);
+    testprop::forEachSeededCase(200, [&](int c, Rng &rng) {
+        // Half the cases take T in 1..5: the unpacked T < 4 path, one
+        // whole tile and a one-row remainder.
+        const std::size_t T =
+            rng.bernoulli(0.5)
+                ? static_cast<std::size_t>(rng.uniformInt(1, 5))
+                : drawSize(rng, 0, 12, 4);
+        const std::size_t S = drawSize(rng, 0, 24, 8);
+        const std::size_t d = drawSize(rng, 1, 40, 8);
+        // Full int16 range: |k| << 16 reaches 2^31 at INT16_MIN.
+        const LzMatrix q_lz = lzEncodeI16(
+            sparseMatrix<std::int16_t>(rng, T, d, -32768, 32767));
+        const MatI16 k_hat =
+            sparseMatrix<std::int16_t>(rng, S, d, -32768, 32767);
 
         OpCounter ref_ops, got_ops;
         const MatI64 ref =
@@ -227,6 +277,45 @@ TEST(KernelsProp, DlzsAPredictionSimdBitExactWithExactOps)
                 << "case " << c << " elem " << i;
         expectSameOps(ref_ops, got_ops, c);
     });
+}
+
+TEST(KernelsProp, DlzsPredictSameAtBothLevelsOnEngineWorkloads)
+{
+    // Prefill, plain decode, and speculative decode on either side of
+    // the 4-row tile: every head's scores, K-hat and tallies.
+    const int kinds[][3] = {
+        {160, 0, 0}, {0, 300, 1}, {0, 257, 3}, {0, 200, 4}, {0, 129, 5}};
+    for (const auto &kind : kinds) {
+        ModelWorkloadSpec spec;
+        spec.heads = 2;
+        spec.seq = kind[0];
+        spec.queries = kind[0];
+        spec.pastLen = kind[1];
+        spec.newTokens = kind[2];
+        const ModelWorkload mw = generateModelWorkload(spec);
+        for (const AttentionWorkload &w : mw.grid) {
+            DlzsPrediction ref, got;
+            {
+                simd::ScopedLevel lvl(simd::Level::Scalar);
+                ref = dlzsPredict(w.tokens, w.wk, w.q);
+            }
+            {
+                simd::ScopedLevel lvl(simd::Level::Avx2);
+                got = dlzsPredict(w.tokens, w.wk, w.q);
+            }
+            const std::size_t T = w.q.rows();
+            ASSERT_EQ(ref.scoresHat.rows(), T);
+            ASSERT_EQ(got.scoresHat.rows(), T);
+            ASSERT_EQ(got.scoresHat.cols(), ref.scoresHat.cols());
+            for (std::size_t i = 0; i < ref.scoresHat.size(); ++i)
+                ASSERT_TRUE(sameBitsF(ref.scoresHat.data()[i],
+                                      got.scoresHat.data()[i]))
+                    << "T=" << T << " elem " << i;
+            EXPECT_EQ(ref.kHat.data(), got.kHat.data()) << "T=" << T;
+            EXPECT_EQ(ref.kShift, got.kShift) << "T=" << T;
+            expectSameOps(ref.ops, got.ops, static_cast<int>(T));
+        }
+    }
 }
 
 TEST(KernelsProp, SimdLevelClampAndRestore)
