@@ -421,7 +421,11 @@ parallelForRows(std::size_t n, std::size_t grain,
             fn(0, n);
         return;
     }
-    ThreadPool::instance().parallelFor(
+    // Grain-sized chunks claimed off the counter, not one fixed shard
+    // per participant: a participant that starts late (its core busy
+    // or slow to wake) leaves its rows to the others instead of
+    // holding up the whole call.
+    ThreadPool::instance().parallelForDynamic(
         n, grain,
         [&fn](std::size_t b, std::size_t e, int) { fn(b, e); });
 }

@@ -263,9 +263,11 @@ class TaskQueue
 
 /**
  * Convenience wrapper over ThreadPool::instance(): run
- * fn(begin, end) over [0, n) in row shards of at least @p grain.
- * Never touches the pool (and so never spawns threads) when the range
- * is too small for two shards.
+ * fn(begin, end) over [0, n) in chunks of @p grain rows (the last
+ * one shorter), claimed dynamically (parallelForDynamic) so a late
+ * participant does not hold up the call. Never touches the pool (and
+ * so never spawns threads) when the range is too small for two
+ * chunks.
  */
 void parallelForRows(std::size_t n, std::size_t grain,
                      const std::function<void(std::size_t, std::size_t)>

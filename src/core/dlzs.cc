@@ -321,9 +321,9 @@ aPredictionAvx2(const LzMatrix &q_lz, const MatI16 &k_hat,
     SOFA_ASSERT(d <= std::size_t{1} << 22); // d * 2^31 <= 2^53
 
     // K-hat^T as kNr-column panels, each t-major and zero past S.
-    // Decode steps (T < kMr) skip it: packing would cost as much as
-    // the product, so their entries are direct dot products.
-    const bool packed = T >= kMr;
+    // Decode steps (T <= kMr) skip it and its S x d buffer: packing
+    // costs as much as their product, so entries are dot products.
+    const bool packed = T > kMr;
     const std::size_t panels = (S + kNr - 1) / kNr;
     std::vector<double> kt(packed ? panels * d * kNr : 0, 0.0);
     for (std::size_t j = 0; packed && j < S; ++j)

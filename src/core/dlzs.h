@@ -111,9 +111,9 @@ MatI64 dlzsKPredictionScalar(const MatI8 &tokens,
  *
  * Runtime-dispatched like dlzsKPrediction: the AVX2 body is the
  * double GEMM M_q * K-hat^T (terms <= 2^31, sums below d * 2^31),
- * K-hat^T packed into 8-column panels unless T < 4, where each entry
- * is a direct dot product instead. Bit-identical to the Scalar
- * baseline, op totals included (skips = sum_t [zq_t * S +
+ * K-hat^T packed into 8-column panels unless T <= 4 (decode steps),
+ * where each entry is a direct dot product instead. Bit-identical to
+ * the Scalar baseline, op totals included (skips = sum_t [zq_t * S +
  * (T - zq_t) * zk_t], zero queries / K-hat rows in column t).
  */
 MatI64 dlzsAPrediction(const LzMatrix &q_lz, const MatI16 &k_hat,

@@ -505,6 +505,23 @@ TEST(ThreadPoolDefaultsLate, RejectedOncePoolExists)
     EXPECT_EQ(ThreadPool::setDefaultThreads(2), -1);
 }
 
+TEST(ParallelForRows, ClaimsGrainSizedChunksCoveringEveryRowOnce)
+{
+    // Chunks of exactly `grain` rows (the last one shorter), each row
+    // once: what lets a late participant's rows go to the others.
+    std::mutex m;
+    std::vector<int> seen(1000, 0);
+    parallelForRows(1000, 64, [&](std::size_t b, std::size_t e) {
+        std::lock_guard<std::mutex> lk(m);
+        EXPECT_EQ(b % 64, 0u);
+        EXPECT_EQ(e, std::min<std::size_t>(1000, b + 64));
+        for (std::size_t r = b; r < e; ++r)
+            ++seen[r];
+    });
+    for (int s : seen)
+        EXPECT_EQ(s, 1);
+}
+
 TEST(GrainForRowCost, ScalesInverselyWithRowCost)
 {
     // Expensive rows shard immediately; cheap rows need big shards.

@@ -248,8 +248,8 @@ TEST(KernelsProp, DlzsKPredictionSimdBitExactWithExactOps)
 TEST(KernelsProp, DlzsAPredictionSimdBitExactWithExactOps)
 {
     testprop::forEachSeededCase(200, [&](int c, Rng &rng) {
-        // Half the cases take T in 1..5: the unpacked T < 4 path, one
-        // whole tile and a one-row remainder.
+        // Half the cases take T in 1..5: the unpacked T <= 4 path
+        // and the smallest packed T, one whole tile plus one row.
         const std::size_t T =
             rng.bernoulli(0.5)
                 ? static_cast<std::size_t>(rng.uniformInt(1, 5))
