@@ -251,31 +251,6 @@ run(const bench::Options &opts, bench::Reporter &rep)
             .tol(0.0);
     }
 
-    // Static vs dynamic sharding: identical work, two schedulers.
-    // Results are bit-exact either way (canonical-order merges);
-    // the speedup shows what heaviest-first dynamic chunk claiming
-    // buys on the ragged mixed-scenario grid.
-    if (prefill) {
-        const ModelWorkload mw = generateModelWorkload(prefill->spec);
-        EngineConfig stat_cfg = ecfg, dyn_cfg = ecfg;
-        stat_cfg.dynamicSharding = false;
-        dyn_cfg.dynamicSharding = true;
-        EngineResult stat_res, dyn_res;
-        const double stat_s = timeBest(
-            [&] { stat_res = runEngine(mw, stat_cfg); }, 0.25, 3);
-        const double dyn_s = timeBest(
-            [&] { dyn_res = runEngine(mw, dyn_cfg); }, 0.25, 3);
-        const bool match = sameEngineResults(stat_res, dyn_res);
-        const double speedup = stat_s / dyn_s;
-        std::printf("engine sharding: static %.3fs vs dynamic %.3fs "
-                    "(%.2fx), results %s\n", stat_s, dyn_s, speedup,
-                    match ? "bit-exact" : "MISMATCH");
-        rep.metric("engine_dynamic_speedup", speedup, "ratio")
-            .nocheck();
-        rep.metric("engine_dynamic_match", match ? 1.0 : 0.0, "bool")
-            .tol(0.0);
-    }
-
     // SU-FA inner-product kernel port: dotBlock vs the scalar
     // baseline on one prefill head (the trajectory metric the
     // ROADMAP's perf thread tracks).

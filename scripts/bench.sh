@@ -19,8 +19,8 @@
 #                                     # and print deltas vs last run
 #   scripts/bench.sh --compare-baseline
 #                                     # print the simd-vs-scalar and
-#                                     # static-vs-dynamic speedup
-#                                     # columns from the BENCH_*.json
+#                                     # other *_speedup columns
+#                                     # from the BENCH_*.json
 #                                     # just produced (each binary
 #                                     # measures both paths in one
 #                                     # run, so no second sweep)

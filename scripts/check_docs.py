@@ -20,6 +20,10 @@ Fails when the documentation drifts from the actual source tree:
   * every backticked identifier containing "Backend" in those docs
     must be a class, struct or enum class declared in src/serve/*.h,
     so a deleted or misnamed Backend type cannot stay documented;
+  * every backticked `Type::member` in those docs (Type capitalized,
+    so namespaces like std:: are skipped) must name a type and a
+    member that both still occur in src/, so a deleted field, method
+    or enum value cannot stay documented;
   * no file under src/{common,tensor,sparsity,model,attention,core,
     serve} may include arch/, baselines/ or energy/: the paper's
     cycle model and the GPU/TPU baselines are evaluation models that
@@ -219,6 +223,19 @@ def main():
             errors.append(f"{path}: `{name}` is not a type declared "
                           "in src/serve/*.h")
 
+    # --- backticked Type::member names in the docs <-> src/ ----
+    src_words = set(re.findall(r"\w+", "\n".join(
+        read(p) for p in glob.glob("src/**/*", recursive=True)
+        if os.path.isfile(p))))
+    for path in docs:
+        named = set()
+        for span in re.findall(r"`([^`\n]+)`", read(path)):
+            named.update(re.findall(r"\b([A-Z]\w*)::(\w+)", span))
+        for typ, member in sorted(named):
+            if typ not in src_words or member not in src_words:
+                errors.append(f"{path}: `{typ}::{member}` names "
+                              "something src/ no longer has")
+
     # --- layering: the runtime never includes the models --------
     runtime = ("common", "tensor", "sparsity", "model", "attention",
                "core", "serve")
@@ -277,7 +294,8 @@ def main():
         return 1
     print(f"check_docs: {len(modules)} src modules, {len(benches)} "
           "bench binaries, serving docs, SOFA_* names, Backend types, "
-          "layering, units headers and goldens all in sync")
+          "Type::member names, layering, units headers and goldens "
+          "all in sync")
     return 0
 
 

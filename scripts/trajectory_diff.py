@@ -10,7 +10,7 @@ rot unobserved.  This script closes that gap:
                              [--compare-baseline]
 
 --compare-baseline additionally renders the baseline-comparison
-columns (simd-vs-scalar and static-vs-dynamic speedups) straight
+columns (simd-vs-scalar and the other *_speedup metrics) straight
 from the current BENCH_*.json: each bench binary times both paths in
 a single run, so no second sweep is needed.
 
@@ -271,7 +271,6 @@ def print_baseline_compare(metrics):
     """
     groups = {
         "simd vs scalar": [],
-        "static vs dynamic sharding": [],
         "threading / other": [],
     }
     for key in sorted(metrics):
@@ -279,8 +278,6 @@ def print_baseline_compare(metrics):
             continue
         if "simd" in key:
             groups["simd vs scalar"].append(key)
-        elif "dynamic" in key:
-            groups["static vs dynamic sharding"].append(key)
         else:
             groups["threading / other"].append(key)
     if not any(groups.values()):
@@ -308,8 +305,8 @@ def main():
     ap.add_argument("--append", action="store_true",
                     help="append a new entry before diffing")
     ap.add_argument("--compare-baseline", action="store_true",
-                    help="print simd-vs-scalar and static-vs-dynamic "
-                         "speedup columns from the current results")
+                    help="print simd-vs-scalar and other *_speedup "
+                         "columns from the current results")
     args = ap.parse_args()
 
     path = args.file or os.path.join(args.results,

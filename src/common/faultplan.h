@@ -34,7 +34,9 @@
  *
  * Units: slowdowns in milliseconds; attempts are 0-based engine-run
  * attempt indices per request; prob is a fraction in [0,1]. Stage
- * names are Engine::stageNames() strings (core/engine.h).
+ * names are Engine::stageNames() strings (core/engine.h); parse()
+ * cannot see that list, so the serve/ Scheduler rejects a rule that
+ * names any other stage when it is constructed.
  */
 
 #ifndef SOFA_COMMON_FAULTPLAN_H
@@ -109,6 +111,7 @@ class FaultPlan
 
     bool empty() const { return rules_.empty(); }
     std::size_t ruleCount() const { return rules_.size(); }
+    const std::vector<FaultRule> &rules() const { return rules_; }
 
     /**
      * Decide the injection at one point. Pure and stateless: the

@@ -21,13 +21,13 @@ std::atomic<int> g_default_threads{0};
 /** Set once instance() has constructed the process-wide pool. */
 std::atomic<bool> g_instance_created{false};
 
-/** Set while this thread is executing a shard; nested parallelFor
- * calls from inside a shard run inline instead of re-entering the
+/** Set while this thread is executing a chunk; nested parallelFor
+ * calls from inside a chunk run inline instead of re-entering the
  * pool (which would deadlock on run_mutex_). */
 thread_local bool tl_in_parallel_region = false;
 
 /** RAII flag for tl_in_parallel_region so it is restored even when a
- * shard body throws. */
+ * chunk body throws. */
 struct RegionGuard
 {
     RegionGuard() { tl_in_parallel_region = true; }
@@ -51,9 +51,9 @@ envThreads()
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-/** One shard must represent at least this much arithmetic before a
+/** One chunk must represent at least this much arithmetic before a
  * parallel dispatch pays for itself (~fraction of a millisecond). */
-constexpr double kMinShardFlops = 1 << 20;
+constexpr double kMinChunkFlops = 1 << 20;
 
 } // namespace
 
@@ -62,7 +62,7 @@ ThreadPool::ThreadPool(int threads)
 {
     workers_.reserve(static_cast<std::size_t>(nthreads_ - 1));
     for (int w = 0; w < nthreads_ - 1; ++w)
-        workers_.emplace_back([this, w] { workerLoop(w); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -105,89 +105,12 @@ ThreadPool::defaultThreadsOverride()
 }
 
 void
-ThreadPool::parallelFor(std::size_t n, std::size_t grain,
-                        const RangeFn &fn)
-{
-    if (n == 0)
-        return;
-    grain = std::max<std::size_t>(grain, 1);
-    const std::size_t by_grain = n / grain; // shards of >= grain rows
-    const int shards = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(nthreads_),
-        std::max<std::size_t>(by_grain, 1)));
-
-    if (shards <= 1 || serialForced() || tl_in_parallel_region) {
-        fn(0, n, 0);
-        return;
-    }
-
-    std::lock_guard<std::mutex> serialize(run_mutex_);
-
-    // Partition [0, n) into near-equal contiguous shards; shard s is
-    // executed by worker s-1 (shard 0 by the caller), so every shard
-    // runs on a fixed participant and no grabbing race exists.
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        ranges_.clear();
-        const std::size_t base = n / static_cast<std::size_t>(shards);
-        const std::size_t rem = n % static_cast<std::size_t>(shards);
-        std::size_t b = 0;
-        for (int s = 0; s < shards; ++s) {
-            const std::size_t len =
-                base + (static_cast<std::size_t>(s) < rem ? 1 : 0);
-            ranges_.push_back({b, b + len});
-            b += len;
-        }
-        job_ = &fn;
-        dynamic_ = false;
-        done_ = 0;
-        active_ = shards - 1;
-        worker_error_ = nullptr;
-        ++epoch_;
-    }
-    wake_cv_.notify_all();
-
-    // Workers reference fn through job_, so even if the caller's
-    // shard throws we must block until they drain before unwinding
-    // destroys the callable (and before run_mutex_ is released).
-    struct CompletionWait
-    {
-        ThreadPool &pool;
-        ~CompletionWait()
-        {
-            std::unique_lock<std::mutex> lk(pool.m_);
-            pool.done_cv_.wait(
-                lk, [&] { return pool.done_ == pool.active_; });
-            pool.job_ = nullptr;
-        }
-    } wait_for_workers{*this};
-
-    {
-        RegionGuard region;
-        fn(ranges_[0].begin, ranges_[0].end, 0);
-    }
-
-    // Workers are drained by wait_for_workers before this scope ends;
-    // surface the first worker exception on the caller (reached only
-    // when the caller's own shard did not throw — that one wins).
-    std::exception_ptr worker_error;
-    {
-        std::unique_lock<std::mutex> lk(m_);
-        done_cv_.wait(lk, [&] { return done_ == active_; });
-        worker_error = worker_error_;
-        worker_error_ = nullptr;
-    }
-    if (worker_error)
-        std::rethrow_exception(worker_error);
-}
-
-void
-ThreadPool::runDynamicChunks(const RangeFn &fn, std::size_t n,
-                             std::size_t grain, std::size_t chunks)
+ThreadPool::runChunks(const RangeFn &fn, std::size_t n,
+                      std::size_t grain, std::size_t chunks)
 {
     for (;;) {
         const std::size_t c =
-            dyn_next_.fetch_add(1, std::memory_order_relaxed);
+            next_chunk_.fetch_add(1, std::memory_order_relaxed);
         if (c >= chunks)
             return;
         const std::size_t b = c * grain;
@@ -196,8 +119,8 @@ ThreadPool::runDynamicChunks(const RangeFn &fn, std::size_t n,
 }
 
 void
-ThreadPool::parallelForDynamic(std::size_t n, std::size_t grain,
-                               const RangeFn &fn)
+ThreadPool::parallelFor(std::size_t n, std::size_t grain,
+                        const RangeFn &fn)
 {
     if (n == 0)
         return;
@@ -221,42 +144,44 @@ ThreadPool::parallelForDynamic(std::size_t n, std::size_t grain,
     {
         std::lock_guard<std::mutex> lk(m_);
         job_ = &fn;
-        dynamic_ = true;
-        dyn_n_ = n;
-        dyn_grain_ = grain;
-        dyn_chunks_ = chunks;
-        dyn_next_.store(0, std::memory_order_relaxed);
+        n_ = n;
+        grain_ = grain;
+        chunks_ = chunks;
+        next_chunk_.store(0, std::memory_order_relaxed);
         done_ = 0;
-        active_ = nthreads_ - 1;
         worker_error_ = nullptr;
         ++epoch_;
     }
     wake_cv_.notify_all();
 
-    // Same drain discipline as parallelFor: workers reference fn
-    // through job_, so block until every worker reports done before
-    // unwinding can destroy the callable or release run_mutex_.
+    // Workers reference fn through job_, so even if the caller's
+    // chunk throws we must block until they drain before unwinding
+    // destroys the callable (and before run_mutex_ is released).
     struct CompletionWait
     {
         ThreadPool &pool;
         ~CompletionWait()
         {
             std::unique_lock<std::mutex> lk(pool.m_);
-            pool.done_cv_.wait(
-                lk, [&] { return pool.done_ == pool.active_; });
+            pool.done_cv_.wait(lk, [&] {
+                return pool.done_ == pool.nthreads_ - 1;
+            });
             pool.job_ = nullptr;
         }
     } wait_for_workers{*this};
 
     {
         RegionGuard region;
-        runDynamicChunks(fn, n, grain, chunks);
+        runChunks(fn, n, grain, chunks);
     }
 
+    // Workers are drained by wait_for_workers before this scope ends;
+    // surface the first worker exception on the caller (reached only
+    // when the caller's own chunks did not throw — that one wins).
     std::exception_ptr worker_error;
     {
         std::unique_lock<std::mutex> lk(m_);
-        done_cv_.wait(lk, [&] { return done_ == active_; });
+        done_cv_.wait(lk, [&] { return done_ == nthreads_ - 1; });
         worker_error = worker_error_;
         worker_error_ = nullptr;
     }
@@ -265,7 +190,7 @@ ThreadPool::parallelForDynamic(std::size_t n, std::size_t grain,
 }
 
 void
-ThreadPool::workerLoop(int worker)
+ThreadPool::workerLoop()
 {
     std::uint64_t seen = 0;
     std::unique_lock<std::mutex> lk(m_);
@@ -274,46 +199,20 @@ ThreadPool::workerLoop(int worker)
         if (stop_)
             return;
         seen = epoch_;
-        if (dynamic_) {
-            const RangeFn *job = job_;
-            const std::size_t n = dyn_n_;
-            const std::size_t grain = dyn_grain_;
-            const std::size_t chunks = dyn_chunks_;
-            lk.unlock();
-
-            std::exception_ptr error;
-            {
-                RegionGuard region;
-                try {
-                    runDynamicChunks(*job, n, grain, chunks);
-                } catch (...) {
-                    // Stop claiming chunks; the other participants
-                    // drain the rest of the grid.
-                    error = std::current_exception();
-                }
-            }
-
-            lk.lock();
-            if (error && !worker_error_)
-                worker_error_ = error;
-            if (++done_ == active_)
-                done_cv_.notify_one();
-            continue;
-        }
-        const std::size_t shard =
-            static_cast<std::size_t>(worker) + 1;
-        if (shard >= ranges_.size())
-            continue; // not assigned this epoch
-        const Range r = ranges_[shard];
         const RangeFn *job = job_;
+        const std::size_t n = n_;
+        const std::size_t grain = grain_;
+        const std::size_t chunks = chunks_;
         lk.unlock();
 
         std::exception_ptr error;
         {
             RegionGuard region;
             try {
-                (*job)(r.begin, r.end, static_cast<int>(shard));
+                runChunks(*job, n, grain, chunks);
             } catch (...) {
+                // Stop claiming chunks; the other participants
+                // drain the rest of the grid.
                 error = std::current_exception();
             }
         }
@@ -321,7 +220,7 @@ ThreadPool::workerLoop(int worker)
         lk.lock();
         if (error && !worker_error_)
             worker_error_ = error;
-        if (++done_ == active_)
+        if (++done_ == nthreads_ - 1)
             done_cv_.notify_one();
     }
 }
@@ -413,7 +312,7 @@ parallelForRows(std::size_t n, std::size_t grain,
                 const std::function<void(std::size_t, std::size_t)> &fn)
 {
     grain = std::max<std::size_t>(grain, 1);
-    // Below two shards the pool would run serially anyway; skip
+    // Below two chunks the pool would run serially anyway; skip
     // instance() so small workloads never spawn worker threads.
     if (n < 2 * grain || ThreadPool::serialForced() ||
         tl_in_parallel_region) {
@@ -421,11 +320,10 @@ parallelForRows(std::size_t n, std::size_t grain,
             fn(0, n);
         return;
     }
-    // Grain-sized chunks claimed off the counter, not one fixed shard
-    // per participant: a participant that starts late (its core busy
-    // or slow to wake) leaves its rows to the others instead of
-    // holding up the whole call.
-    ThreadPool::instance().parallelForDynamic(
+    // Grain-sized chunks claimed off the counter: a participant that
+    // starts late (its core busy or slow to wake) leaves its rows to
+    // the others instead of holding up the whole call.
+    ThreadPool::instance().parallelFor(
         n, grain,
         [&fn](std::size_t b, std::size_t e, int) { fn(b, e); });
 }
@@ -434,7 +332,7 @@ std::size_t
 grainForRowCost(double flops_per_row)
 {
     const double per_row = std::max(flops_per_row, 1.0);
-    const double rows = kMinShardFlops / per_row;
+    const double rows = kMinChunkFlops / per_row;
     if (rows <= 1.0)
         return 1;
     return static_cast<std::size_t>(rows);

@@ -1,27 +1,24 @@
 /**
  * @file
- * Reusable thread pool with a row-sharding parallelFor. Kernels and
- * attention loops shard work by rows: each shard is a contiguous
- * [begin, end) row range whose per-row computation is identical to the
- * serial code, so results are bit-exact regardless of the thread count
- * and op counting stays deterministic (per-shard tallies are summed
- * with integer addition, which is order-independent).
+ * Reusable thread pool with one chunk-claiming parallelFor. A call
+ * fixes the chunk grid chunk c = [c*grain, min(n, (c+1)*grain)) for
+ * c in [0, ceil(n/grain)), then the caller and every worker pull the
+ * next unclaimed chunk off an atomic counter until the grid is
+ * exhausted, so a participant that starts late or draws costly
+ * chunks leaves the rest to the others. Each chunk's per-row
+ * computation is identical to the serial code, and the grid — every
+ * chunk's [begin, end) and index — is a pure function of (n, grain),
+ * never of the thread count or of which thread claimed what. Callers
+ * that keep per-chunk tallies and merge them in chunk order therefore
+ * stay bit-exact at any concurrency (integer tallies sum
+ * order-independently anyway).
  *
  * The pool honors SOFA_NUM_THREADS (falling back to
  * std::thread::hardware_concurrency; a malformed value is fatal, see
- * parseThreadCount) and degrades to a plain serial call when the
- * trip count is too small to amortize a dispatch, when the pool has
- * a single thread, or inside an already-parallel region (nested
- * parallelism runs inline rather than deadlocking).
- *
- * parallelFor splits the range into one static near-equal shard per
- * participant; parallelForDynamic instead fixes a grain-sized chunk
- * grid and lets every participant pull the next unclaimed chunk off
- * an atomic counter (work stealing for ragged chunk costs). The
- * chunk grid — and therefore every chunk's [begin, end) and index —
- * is a pure function of (n, grain), never of the thread count or of
- * which thread claimed what, so callers that keep per-chunk tallies
- * and merge them in chunk order stay bit-exact at any concurrency.
+ * parseThreadCount) and runs the same grid serially on the caller
+ * when there is a single chunk, when the pool has a single thread,
+ * when serial mode is forced, or inside an already-parallel region
+ * (nested parallelism runs inline rather than deadlocking).
  *
  * TaskQueue adds the asynchronous counterpart: a FIFO of opaque
  * tasks drained by a small set of dedicated worker threads, for
@@ -32,8 +29,8 @@
  * runs overlap.
  *
  * Units: thread counts are participants (the calling thread plus
- * workers); n, grain, and shard/chunk boundaries are rows (work
- * items); grainForRowCost takes flops per row.
+ * workers); n, grain, and chunk boundaries are rows (work items);
+ * grainForRowCost takes flops per row.
  */
 
 #ifndef SOFA_COMMON_THREADPOOL_H
@@ -56,7 +53,8 @@ namespace sofa {
 class ThreadPool
 {
   public:
-    /** Shard body: process rows [begin, end); shard is 0-based. */
+    /** Chunk body: process rows [begin, end); chunk is the 0-based
+     * index on the grid of ceil(n / grain) chunks. */
     using RangeFn =
         std::function<void(std::size_t, std::size_t, int)>;
 
@@ -97,41 +95,27 @@ class ThreadPool
     int threads() const { return nthreads_; }
 
     /**
-     * Split [0, n) into at most threads() contiguous shards of at
-     * least @p grain rows each and run @p fn on every shard
-     * concurrently; the calling thread executes shard 0 and blocks
-     * until all shards finish. Runs serially (one fn(0, n, 0) call on
-     * the caller) when fewer than two shards fit, when serial mode is
-     * forced, or when called from inside another parallelFor.
+     * Run fn(begin, end, chunk) over every chunk of the grid
+     * chunk c = [c*grain, min(n, (c+1)*grain)) for
+     * c in [0, ceil(n/grain)) (grain 0 counts as 1): the caller and
+     * every worker repeatedly claim the lowest unclaimed chunk via an
+     * atomic counter, and the call returns once every chunk has run.
+     * Which participant runs a chunk is nondeterministic; the grid
+     * itself is not, so per-chunk accumulators (sized by the chunk
+     * count, not by threads()) merged in chunk order are bit-exact
+     * for any thread count. The serial path (single participant,
+     * forced serial, nested call, or a single chunk) runs the
+     * identical grid in ascending order on the caller.
      *
-     * Exception-safe: a throw from any shard is surfaced on the
-     * calling thread after all shards have drained (when both the
-     * caller's shard and a worker shard throw, the caller's
-     * exception wins and the worker's is dropped). Output written by
-     * other shards before the throw is left as-is.
+     * Exception-safe: a throwing participant stops claiming chunks
+     * while the others drain the grid, and the first throw surfaces
+     * on the calling thread after every worker has finished (when
+     * both the caller and a worker throw, the caller's exception wins
+     * and the worker's is dropped). Output written by other chunks is
+     * left as-is.
      */
     void parallelFor(std::size_t n, std::size_t grain,
                      const RangeFn &fn);
-
-    /**
-     * Dynamic (work-stealing) variant: fix the chunk grid
-     * chunk c = [c*grain, min(n, (c+1)*grain)) for
-     * c in [0, ceil(n/grain)), then let the caller and every worker
-     * repeatedly claim the lowest unclaimed chunk via an atomic
-     * counter and run fn(begin, end, chunk_index) on it. Which
-     * participant runs a chunk is nondeterministic; the grid itself
-     * is not, so per-chunk accumulators merged in chunk order are
-     * bit-exact for any thread count. The serial path (single
-     * participant, forced serial, nested call, or a single chunk)
-     * runs the identical chunk grid in ascending order on the
-     * caller.
-     *
-     * Exception-safe like parallelFor: a throwing participant stops
-     * claiming chunks while the others drain the grid; the caller's
-     * own exception wins over a stored worker exception.
-     */
-    void parallelForDynamic(std::size_t n, std::size_t grain,
-                            const RangeFn &fn);
 
     /**
      * RAII guard forcing every parallelFor into the serial path while
@@ -180,15 +164,9 @@ class ThreadPool
     };
 
   private:
-    struct Range
-    {
-        std::size_t begin;
-        std::size_t end;
-    };
-
-    void workerLoop(int worker);
-    void runDynamicChunks(const RangeFn &fn, std::size_t n,
-                          std::size_t grain, std::size_t chunks);
+    void workerLoop();
+    void runChunks(const RangeFn &fn, std::size_t n, std::size_t grain,
+                   std::size_t chunks);
 
     const int nthreads_;
     std::vector<std::thread> workers_;
@@ -198,19 +176,16 @@ class ThreadPool
     std::mutex m_;
     std::condition_variable wake_cv_;
     std::condition_variable done_cv_;
-    std::vector<Range> ranges_; ///< ranges_[s] belongs to shard s
     const RangeFn *job_ = nullptr;
     std::exception_ptr worker_error_; ///< first worker throw, if any
-    int active_ = 0; ///< worker shards outstanding this epoch
-    int done_ = 0;
+    int done_ = 0; ///< workers finished this epoch
     std::uint64_t epoch_ = 0;
     bool stop_ = false;
 
-    bool dynamic_ = false; ///< current epoch uses the chunk counter
-    std::size_t dyn_n_ = 0;
-    std::size_t dyn_grain_ = 1;
-    std::size_t dyn_chunks_ = 0;
-    std::atomic<std::size_t> dyn_next_{0}; ///< next unclaimed chunk
+    std::size_t n_ = 0;      ///< this epoch's rows
+    std::size_t grain_ = 1;  ///< this epoch's chunk size
+    std::size_t chunks_ = 0; ///< this epoch's chunk count
+    std::atomic<std::size_t> next_chunk_{0}; ///< next unclaimed chunk
 };
 
 /**
@@ -223,7 +198,7 @@ class ThreadPool
  * joining, so work handed to a TaskQueue always completes.
  *
  * Tasks may call ThreadPool::parallelFor: each worker is a fresh
- * thread (not a pool shard), so the call takes the normal top-level
+ * thread (not a pool worker), so the call takes the normal top-level
  * path and concurrent callers serialize per epoch on the pool.
  */
 class TaskQueue
@@ -264,17 +239,18 @@ class TaskQueue
 /**
  * Convenience wrapper over ThreadPool::instance(): run
  * fn(begin, end) over [0, n) in chunks of @p grain rows (the last
- * one shorter), claimed dynamically (parallelForDynamic) so a late
- * participant does not hold up the call. Never touches the pool (and
- * so never spawns threads) when the range is too small for two
- * chunks.
+ * one shorter), claimed through parallelFor so a late participant
+ * does not hold up the call. Runs one fn(0, n) call inline — and so
+ * never touches the pool or spawns threads — when the range is too
+ * small for two chunks, when serial mode is forced, or inside a
+ * pool chunk.
  */
 void parallelForRows(std::size_t n, std::size_t grain,
                      const std::function<void(std::size_t, std::size_t)>
                          &fn);
 
 /**
- * Minimum rows per shard so one shard amortizes a dispatch, given the
+ * Minimum rows per chunk so one chunk amortizes a dispatch, given the
  * approximate arithmetic cost of a single row. Rows cheaper than the
  * internal threshold yield large grains (forcing small problems down
  * the serial path).

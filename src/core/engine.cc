@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.h"
 #include "common/threadpool.h"
@@ -45,29 +46,6 @@ struct RowUnit
     std::size_t end;
 };
 
-/**
- * Visit order for a stage's units. Static sharding iterates units in
- * their natural (canonical) order; dynamic sharding visits them
- * heaviest-first by the stage's cost estimate, so the atomic-counter
- * scheduler starts the long poles early and back-fills with cheap
- * units (the Tailors lesson: size for the common case, recover
- * data-dependently). The order only decides *scheduling* — per-unit
- * outputs and tallies are still indexed and merged by the canonical
- * unit id, so results are bit-exact for any order.
- */
-std::vector<std::size_t>
-costOrder(const std::vector<double> &cost)
-{
-    std::vector<std::size_t> order(cost.size());
-    for (std::size_t u = 0; u < order.size(); ++u)
-        order[u] = u;
-    std::stable_sort(order.begin(), order.end(),
-                     [&cost](std::size_t a, std::size_t b) {
-                         return cost[a] > cost[b];
-                     });
-    return order;
-}
-
 /** Approximate arithmetic cost of one head's prediction/KV work. */
 double
 headCost(const AttentionWorkload &w)
@@ -104,46 +82,35 @@ unitCosts(const EngineState &st, const std::vector<RowUnit> &units)
 }
 
 /**
- * Shard @p order.size() units across the pool, one fn(unit_id) call
- * per unit, via the config's scheduler. Grain is 1: units are whole
- * heads or row tiles, both heavyweight. Dynamic mode claims units
- * off the pool's atomic chunk counter in @p order; static mode runs
- * the classic near-equal contiguous split over the same order.
+ * Run fn(unit_id) once per unit across the pool, one unit per chunk,
+ * claimed heaviest-first by @p cost: the pool's chunk counter then
+ * starts the long poles early and back-fills with cheap units (the
+ * Tailors lesson: size for the common case, recover
+ * data-dependently). The order only decides *scheduling* — per-unit
+ * outputs and tallies are still indexed and merged by the canonical
+ * unit id, so results are bit-exact for any order and thread count.
  */
 template <typename Fn>
 void
-forEachUnit(EngineState &st, const std::vector<std::size_t> &order,
+forEachUnit(EngineState &st, const std::vector<double> &cost,
             const Fn &fn)
 {
-    if (order.empty())
-        return;
-    const auto body = [&fn, &order](std::size_t b, std::size_t e,
-                                    int) {
-        for (std::size_t u = b; u < e; ++u)
-            fn(order[u]);
-    };
-    if (st.cfg.dynamicSharding)
-        st.pool.parallelForDynamic(order.size(), 1, body);
-    else
-        st.pool.parallelFor(order.size(), 1, body);
-}
-
-/** Unit order for a stage: cost-sorted when dynamic, natural when
- * static (the seed's behavior). */
-std::vector<std::size_t>
-stageOrder(const EngineState &st, std::vector<double> cost)
-{
-    if (st.cfg.dynamicSharding)
-        return costOrder(cost);
     std::vector<std::size_t> order(cost.size());
     for (std::size_t u = 0; u < order.size(); ++u)
         order[u] = u;
-    return order;
+    std::stable_sort(order.begin(), order.end(),
+                     [&cost](std::size_t a, std::size_t b) {
+                         return cost[a] > cost[b];
+                     });
+    st.pool.parallelFor(order.size(), 1,
+                        [&fn, &order](std::size_t u, std::size_t, int) {
+                            fn(order[u]);
+                        });
 }
 
 /** Row tiles of every head, in (head, row) order, the config's
  * rowTile rows per unit clamped to each head's actual row count — a
- * tiny head yields exactly one full-range shard instead of an
+ * tiny head yields exactly one full-range unit instead of an
  * oversized tile request distorting the unit accounting. */
 std::vector<RowUnit>
 rowUnits(const EngineState &st)
@@ -154,7 +121,7 @@ rowUnits(const EngineState &st)
     for (std::size_t i = 0; i < st.tasks.size(); ++i) {
         const std::size_t rows = st.tasks[i].workload->q.rows();
         if (rows == 0)
-            continue; // never enqueue an empty shard
+            continue; // never enqueue an empty unit
         const std::size_t tile = std::min(requested, rows);
         for (std::size_t b = 0; b < rows; b += tile)
             units.push_back({i, b, std::min(rows, b + tile)});
@@ -163,164 +130,137 @@ rowUnits(const EngineState &st)
 }
 
 /** Stage 1: DLZS prediction (K-hat then A-hat), one unit per head. */
-class DlzsStage : public Stage
+void
+runDlzs(EngineState &st)
 {
-  public:
-    const char *name() const override { return "dlzs_predict"; }
+    forEachUnit(st, headCosts(st), [&st](std::size_t i) {
+        if (st.cancelled[i])
+            return;
+        const AttentionWorkload &w = *st.tasks[i].workload;
+        st.preds[i] = dlzsPredict(w.tokens, w.wk, w.q);
+        st.heads[i].result.predictionOps = st.preds[i].ops;
+    });
+}
 
-    void
-    run(EngineState &st) const override
-    {
-        forEachUnit(st, stageOrder(st, headCosts(st)),
-                    [&st](std::size_t i) {
-                        if (st.cancelled[i])
-                            return;
-                        const AttentionWorkload &w =
-                            *st.tasks[i].workload;
-                        st.preds[i] =
-                            dlzsPredict(w.tokens, w.wk, w.q);
-                        st.heads[i].result.predictionOps =
-                            st.preds[i].ops;
-                    });
-    }
-};
-
-/** Stage 2: SADS distributed top-k, sharded over row tiles. */
-class SadsStage : public Stage
+/** Stage 2: SADS distributed top-k, one unit per row tile. */
+void
+runSads(EngineState &st)
 {
-  public:
-    const char *name() const override { return "sads_topk"; }
-
-    void
-    run(EngineState &st) const override
-    {
-        const std::vector<RowUnit> units = rowUnits(st);
-        std::vector<OpCounter> unit_ops(units.size());
-        forEachUnit(st, stageOrder(st, unitCosts(st, units)),
-                    [&](std::size_t u) {
-                        const RowUnit &ru = units[u];
-                        if (st.cancelled[ru.head])
-                            return;
-                        sadsTopKRows(st.preds[ru.head].scoresHat,
-                                     st.keep[ru.head],
-                                     st.cfg.pipeline.sads, ru.begin,
-                                     ru.end, &st.sads[ru.head].rows,
-                                     &unit_ops[u]);
-                    });
-        // Per-shard tallies merge with integer addition in unit
-        // order — order-independent, so equal to a serial run.
-        for (std::size_t u = 0; u < units.size(); ++u)
-            st.sads[units[u].head].ops += unit_ops[u];
-        for (std::size_t i = 0; i < st.tasks.size(); ++i) {
-            if (st.cancelled[i])
-                continue;
-            st.heads[i].result.sortOps = st.sads[i].ops;
-            st.heads[i].result.selections = st.sads[i].selections();
-        }
-        // Nothing reads A-hat or K-hat after selection: free them here
-        // (cancelled heads too) rather than hold T x S floats per head
-        // through the KV and SU-FA steps.
-        st.preds.clear();
+    const std::vector<RowUnit> units = rowUnits(st);
+    std::vector<OpCounter> unit_ops(units.size());
+    forEachUnit(st, unitCosts(st, units), [&](std::size_t u) {
+        const RowUnit &ru = units[u];
+        if (st.cancelled[ru.head])
+            return;
+        sadsTopKRows(st.preds[ru.head].scoresHat, st.keep[ru.head],
+                     st.cfg.pipeline.sads, ru.begin, ru.end,
+                     &st.sads[ru.head].rows, &unit_ops[u]);
+    });
+    // Per-unit tallies merge with integer addition in unit order —
+    // order-independent, so equal to a serial run.
+    for (std::size_t u = 0; u < units.size(); ++u)
+        st.sads[units[u].head].ops += unit_ops[u];
+    for (std::size_t i = 0; i < st.tasks.size(); ++i) {
+        if (st.cancelled[i])
+            continue;
+        st.heads[i].result.sortOps = st.sads[i].ops;
+        st.heads[i].result.selections = st.sads[i].selections();
     }
-};
+    // Nothing reads A-hat or K-hat after selection: free them here
+    // (cancelled heads too) rather than hold T x S floats per head
+    // through the KV and SU-FA steps.
+    st.preds.clear();
+}
 
 /** Stage 3a: on-demand KV generation against the cache state. */
-class KvStage : public Stage
+void
+runKv(EngineState &st)
 {
-  public:
-    const char *name() const override { return "kv_generate"; }
+    forEachUnit(st, headCosts(st), [&st](std::size_t i) {
+        if (st.cancelled[i])
+            return;
+        const HeadTask &task = st.tasks[i];
+        const AttentionWorkload &w = *task.workload;
+        HeadResult &hr = st.heads[i];
+        TopkMask mask = TopkMask::fromSelections(hr.result.selections,
+                                                 w.spec.seq);
+        const std::vector<int> required = mask.requiredKeys();
+        // Keys below pastLen are KV-cache hits; only the rest are
+        // projected from tokens.
+        std::int64_t cached = 0;
+        for (int key : required)
+            cached += key < task.pastLen ? 1 : 0;
+        hr.keysCached = cached;
+        hr.result.keysGenerated =
+            static_cast<std::int64_t>(required.size()) - cached;
+        hr.result.formalOps += kvGenerationOps(
+            hr.result.keysGenerated, w.spec.tokenDim, w.spec.headDim);
+    });
+}
 
-    void
-    run(EngineState &st) const override
-    {
-        forEachUnit(st, stageOrder(st, headCosts(st)),
-                    [&st](std::size_t i) {
-            if (st.cancelled[i])
-                return;
-            const HeadTask &task = st.tasks[i];
-            const AttentionWorkload &w = *task.workload;
-            HeadResult &hr = st.heads[i];
-            TopkMask mask = TopkMask::fromSelections(
-                hr.result.selections, w.spec.seq);
-            const std::vector<int> required = mask.requiredKeys();
-            // Keys below pastLen are KV-cache hits; only the rest
-            // are projected from tokens.
-            std::int64_t cached = 0;
-            for (int key : required)
-                cached += key < task.pastLen ? 1 : 0;
-            hr.keysCached = cached;
-            hr.result.keysGenerated =
-                static_cast<std::int64_t>(required.size()) - cached;
-            hr.result.formalOps += kvGenerationOps(
-                hr.result.keysGenerated, w.spec.tokenDim,
-                w.spec.headDim);
-        });
-    }
-};
-
-/** Stage 3b: SU-FA formal compute, sharded over row tiles. */
-class SufaStage : public Stage
+/** Stage 3b: SU-FA formal compute, one unit per row tile. */
+void
+runSufa(EngineState &st)
 {
-  public:
-    const char *name() const override { return "sufa_attention"; }
-
-    void
-    run(EngineState &st) const override
-    {
-        for (std::size_t i = 0; i < st.tasks.size(); ++i) {
-            if (st.cancelled[i])
-                continue;
-            const AttentionWorkload &w = *st.tasks[i].workload;
-            st.heads[i].result.output =
-                MatF(w.q.rows(), w.q.cols(), 0.0f);
-        }
-        const std::vector<RowUnit> units = rowUnits(st);
-        std::vector<OpCounter> unit_ops(units.size());
-        std::vector<std::int64_t> unit_viol(units.size(), 0);
-        std::vector<std::int64_t> unit_tiles(units.size(), 0);
-        forEachUnit(st, stageOrder(st, unitCosts(st, units)),
-                    [&](std::size_t u) {
-            const RowUnit &ru = units[u];
-            if (st.cancelled[ru.head])
-                return;
-            const AttentionWorkload &w = *st.tasks[ru.head].workload;
-            sufaAttentionRows(w.q, w.k, w.v,
-                              st.heads[ru.head].result.selections,
-                              st.cfg.pipeline.sufa, ru.begin, ru.end,
-                              &st.heads[ru.head].result.output,
-                              &unit_ops[u], &unit_viol[u],
-                              &unit_tiles[u]);
-        });
-        for (std::size_t u = 0; u < units.size(); ++u) {
-            HeadResult &hr = st.heads[units[u].head];
-            hr.result.formalOps += unit_ops[u];
-            hr.result.maxViolations += unit_viol[u];
-            hr.sufaTiles += unit_tiles[u];
-        }
+    for (std::size_t i = 0; i < st.tasks.size(); ++i) {
+        if (st.cancelled[i])
+            continue;
+        const AttentionWorkload &w = *st.tasks[i].workload;
+        st.heads[i].result.output = MatF(w.q.rows(), w.q.cols(), 0.0f);
     }
-};
+    const std::vector<RowUnit> units = rowUnits(st);
+    std::vector<OpCounter> unit_ops(units.size());
+    std::vector<std::int64_t> unit_viol(units.size(), 0);
+    std::vector<std::int64_t> unit_tiles(units.size(), 0);
+    forEachUnit(st, unitCosts(st, units), [&](std::size_t u) {
+        const RowUnit &ru = units[u];
+        if (st.cancelled[ru.head])
+            return;
+        const AttentionWorkload &w = *st.tasks[ru.head].workload;
+        sufaAttentionRows(w.q, w.k, w.v,
+                          st.heads[ru.head].result.selections,
+                          st.cfg.pipeline.sufa, ru.begin, ru.end,
+                          &st.heads[ru.head].result.output,
+                          &unit_ops[u], &unit_viol[u], &unit_tiles[u]);
+    });
+    for (std::size_t u = 0; u < units.size(); ++u) {
+        HeadResult &hr = st.heads[units[u].head];
+        hr.result.formalOps += unit_ops[u];
+        hr.result.maxViolations += unit_viol[u];
+        hr.sufaTiles += unit_tiles[u];
+    }
+}
 
 /** Stage 4: quality metrics vs the dense reference, per head. */
-class QualityStage : public Stage
+void
+runQuality(EngineState &st)
 {
-  public:
-    const char *name() const override { return "quality"; }
-
-    void
-    run(EngineState &st) const override
-    {
-        if (!st.cfg.computeQuality)
+    if (!st.cfg.computeQuality)
+        return;
+    forEachUnit(st, headCosts(st), [&st](std::size_t i) {
+        if (st.cancelled[i])
             return;
-        forEachUnit(st, stageOrder(st, headCosts(st)),
-                    [&st](std::size_t i) {
-                        if (st.cancelled[i])
-                            return;
-                        fillPipelineQuality(*st.tasks[i].workload,
-                                            st.keep[i],
-                                            st.heads[i].result);
-                    });
-    }
+        fillPipelineQuality(*st.tasks[i].workload, st.keep[i],
+                            st.heads[i].result);
+    });
+}
+
+/** The pipeline, in execution order. The names are part of the
+ * interface: fault plans, EngineRun::nextStageName() spans and
+ * reports all match on them. */
+struct StageEntry
+{
+    const char *name;
+    void (*run)(EngineState &);
 };
+constexpr StageEntry kStages[] = {
+    {"dlzs_predict", runDlzs},
+    {"sads_topk", runSads},
+    {"kv_generate", runKv},
+    {"sufa_attention", runSufa},
+    {"quality", runQuality},
+};
+constexpr std::size_t kStageCount = std::size(kStages);
 
 } // namespace
 
@@ -329,22 +269,15 @@ Engine::Engine(EngineConfig cfg) : cfg_(cfg)
     SOFA_ASSERT(cfg_.pipeline.topkFrac > 0.0 &&
                 cfg_.pipeline.topkFrac <= 1.0);
     SOFA_ASSERT(cfg_.rowTile >= 1);
-    stages_.push_back(std::make_unique<DlzsStage>());
-    stages_.push_back(std::make_unique<SadsStage>());
-    stages_.push_back(std::make_unique<KvStage>());
-    stages_.push_back(std::make_unique<SufaStage>());
-    stages_.push_back(std::make_unique<QualityStage>());
 }
 
-Engine::~Engine() = default;
-
 std::vector<std::string>
-Engine::stageNames() const
+Engine::stageNames()
 {
     std::vector<std::string> names;
-    names.reserve(stages_.size());
-    for (const auto &s : stages_)
-        names.push_back(s->name());
+    names.reserve(kStageCount);
+    for (const StageEntry &s : kStages)
+        names.push_back(s.name);
     return names;
 }
 
@@ -375,7 +308,7 @@ Engine::run(const std::vector<HeadTask> &tasks) const
 EngineRun::EngineRun(const Engine &engine, std::vector<HeadTask> tasks)
     : engine_(engine), tasks_(std::move(tasks))
 {
-    const EngineConfig &cfg = engine_.cfg_;
+    const EngineConfig &cfg = engine_.config();
     ThreadPool &pool =
         cfg.pool != nullptr ? *cfg.pool : ThreadPool::instance();
     state_ = std::make_unique<EngineState>(
@@ -404,26 +337,26 @@ EngineRun::~EngineRun() = default;
 std::size_t
 EngineRun::stageCount() const
 {
-    return engine_.stages_.size();
+    return kStageCount;
 }
 
 bool
 EngineRun::done() const
 {
-    return next_ >= engine_.stages_.size();
+    return next_ >= kStageCount;
 }
 
 const char *
 EngineRun::nextStageName() const
 {
-    return done() ? nullptr : engine_.stages_[next_]->name();
+    return done() ? nullptr : kStages[next_].name;
 }
 
 void
 EngineRun::step()
 {
     SOFA_ASSERT(!done());
-    engine_.stages_[next_]->run(*state_);
+    kStages[next_].run(*state_);
     ++next_;
 }
 

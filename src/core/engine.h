@@ -2,18 +2,17 @@
  * @file
  * Stage-structured batched multi-head execution engine. The paper's
  * cross-stage pipeline (DLZS prediction -> SADS top-k -> on-demand
- * KV generation -> SU-FA formal compute, Fig. 6) is expressed as
- * explicit Stage objects run in order over a ModelWorkload's
- * (batch, head) grid. Each stage shards its work items — whole
- * heads for prediction/KV, (head, query-row tile) pairs for SADS
- * and SU-FA — across the common/threadpool: by default through the
- * dynamic `parallelForDynamic` chunk scheduler with units ordered
- * heaviest-first by a cost estimate (ragged batches load-balance),
- * or through the static `parallelFor` split when dynamicSharding is
- * off. Per-unit OpCounter tallies are merged by integer addition in
- * canonical unit order either way, so every result and count is
- * bit-exact for any thread count and schedule, and identical to a
- * per-head `runSofaPipeline` loop.
+ * KV generation -> SU-FA formal compute, Fig. 6, then the optional
+ * quality check) is a fixed table of named stage functions run in
+ * order over a ModelWorkload's (batch, head) grid. Each stage splits
+ * its work into units — whole heads for prediction/KV/quality,
+ * (head, query-row tile) pairs for SADS and SU-FA — and hands them to
+ * the common/threadpool chunk scheduler one unit per chunk, ordered
+ * heaviest-first by a cost estimate so ragged batches load-balance.
+ * Per-unit OpCounter tallies are merged by integer addition in
+ * canonical unit order, so every result and count is bit-exact for
+ * any thread count and schedule, and identical to a per-head
+ * `runSofaPipeline` loop.
  *
  * KV-cache decode: a HeadTask's `pastLen` marks keys [0, pastLen)
  * as already resident in the KV cache; the KV stage only charges
@@ -56,17 +55,6 @@ struct EngineConfig
      * head's actual row count before sharding; smaller tiles expose
      * more parallelism, results never depend on it. */
     int rowTile = 64;
-    /**
-     * Shard stage units with the pool's dynamic (work-stealing)
-     * scheduler, visiting units heaviest-first by a per-unit cost
-     * estimate, instead of one static near-equal split in unit
-     * order. Ragged task lists (mixed prefill/decode shapes) keep
-     * every participant busy this way. Either setting is bit-exact:
-     * per-unit tallies are merged in canonical unit order and unit
-     * outputs land in disjoint rows, so results never depend on the
-     * schedule.
-     */
-    bool dynamicSharding = true;
     /** Compute the reference-attention quality metrics (skippable:
      * the dense reference costs more than the sparse pipeline). */
     bool computeQuality = true;
@@ -118,26 +106,18 @@ struct EngineResult
 
 struct EngineState; // per-run scratch shared by the stages
 
-/** One pipeline stage, sharded over the grid by the engine. */
-class Stage
-{
-  public:
-    virtual ~Stage() = default;
-    virtual const char *name() const = 0;
-    virtual void run(EngineState &state) const = 0;
-};
-
 /** The stage-structured engine. */
 class Engine
 {
   public:
     explicit Engine(EngineConfig cfg = {});
-    ~Engine();
 
     const EngineConfig &config() const { return cfg_; }
 
-    /** Stage names in execution order (for reporting). */
-    std::vector<std::string> stageNames() const;
+    /** Stage names in execution order: dlzs_predict, sads_topk,
+     * kv_generate, sufa_attention, quality. Fault plans and
+     * EngineRun::nextStageName() use these names. */
+    static std::vector<std::string> stageNames();
 
     /** Run the grid of a generated ModelWorkload. */
     EngineResult run(const ModelWorkload &mw) const;
@@ -147,10 +127,7 @@ class Engine
     EngineResult run(const std::vector<HeadTask> &tasks) const;
 
   private:
-    friend class EngineRun;
-
     EngineConfig cfg_;
-    std::vector<std::unique_ptr<Stage>> stages_;
 };
 
 /**

@@ -280,21 +280,20 @@ sadsTopK(const MatF &scores, int k, const SadsConfig &cfg)
     if (scores.rows() == 0)
         return result;
 
-    // Shard rows across the pool; per-shard counters are merged with
+    // Chunk rows across the pool; per-chunk counters are merged with
     // integer addition (order-independent), so totals match a serial
     // run exactly. Per-row cost ~ S compares plus the sort passes.
-    ThreadPool &pool = ThreadPool::instance();
-    std::vector<OpCounter> shard_ops(
-        static_cast<std::size_t>(pool.threads()));
     const std::size_t grain =
         grainForRowCost(8.0 * static_cast<double>(scores.cols()));
-    pool.parallelFor(
+    std::vector<OpCounter> chunk_ops((scores.rows() + grain - 1) /
+                                     grain);
+    ThreadPool::instance().parallelFor(
         scores.rows(), grain,
-        [&](std::size_t begin, std::size_t end, int shard) {
+        [&](std::size_t begin, std::size_t end, int chunk) {
             sadsTopKRows(scores, k, cfg, begin, end, &result.rows,
-                         &shard_ops[static_cast<std::size_t>(shard)]);
+                         &chunk_ops[static_cast<std::size_t>(chunk)]);
         });
-    for (const OpCounter &ops : shard_ops)
+    for (const OpCounter &ops : chunk_ops)
         result.ops += ops;
     return result;
 }

@@ -79,7 +79,7 @@ struct SadsResult
 
 /**
  * Run SADS top-k over every row of @p scores. Rows are independent
- * and are sharded across the thread pool; per-shard op tallies are
+ * and are chunked across the thread pool; per-chunk op tallies are
  * merged with integer addition, so results and counts are bit-exact
  * for any thread count.
  *

@@ -180,30 +180,28 @@ sufaAttention(const MatF &q, const MatF &k, const MatF &v,
     if (T == 0)
         return res;
 
-    // Shard query rows across the pool; counters merge with integer
+    // Chunk query rows across the pool; counters merge with integer
     // addition, so totals are bit-exact for any thread count. Per-row
     // cost ~ kept * d MACs (estimate kept from the first row).
-    ThreadPool &pool = ThreadPool::instance();
-    const std::size_t nshards =
-        static_cast<std::size_t>(pool.threads());
-    std::vector<OpCounter> shard_ops(nshards);
-    std::vector<std::int64_t> shard_viol(nshards, 0);
-    std::vector<std::int64_t> shard_tiles(nshards, 0);
     const double row_cost =
         2.0 * static_cast<double>(selected[0].size()) *
         static_cast<double>(d);
-    pool.parallelFor(
-        T, grainForRowCost(row_cost),
-        [&](std::size_t begin, std::size_t end, int shard) {
-            const std::size_t s = static_cast<std::size_t>(shard);
+    const std::size_t grain = grainForRowCost(row_cost);
+    const std::size_t nchunks = (T + grain - 1) / grain;
+    std::vector<OpCounter> chunk_ops(nchunks);
+    std::vector<std::int64_t> chunk_viol(nchunks, 0);
+    std::vector<std::int64_t> chunk_tiles(nchunks, 0);
+    ThreadPool::instance().parallelFor(
+        T, grain, [&](std::size_t begin, std::size_t end, int chunk) {
+            const std::size_t c = static_cast<std::size_t>(chunk);
             sufaAttentionRows(q, k, v, selected, cfg, begin, end,
-                              &res.output, &shard_ops[s],
-                              &shard_viol[s], &shard_tiles[s]);
+                              &res.output, &chunk_ops[c],
+                              &chunk_viol[c], &chunk_tiles[c]);
         });
-    for (std::size_t s = 0; s < nshards; ++s) {
-        res.ops += shard_ops[s];
-        res.maxViolations += shard_viol[s];
-        res.tiles += shard_tiles[s];
+    for (std::size_t c = 0; c < nchunks; ++c) {
+        res.ops += chunk_ops[c];
+        res.maxViolations += chunk_viol[c];
+        res.tiles += chunk_tiles[c];
     }
     return res;
 }

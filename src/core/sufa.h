@@ -67,8 +67,8 @@ struct SufaResult
 
 /**
  * Compute sparse attention over the per-row selections with the SU-FA
- * recurrence. Rows are independent and sharded across the thread
- * pool; per-shard op tallies merge with integer addition, so outputs
+ * recurrence. Rows are independent and chunked across the thread
+ * pool; per-chunk op tallies merge with integer addition, so outputs
  * and counts are bit-exact for any thread count.
  *
  * @param q        queries [T x d]

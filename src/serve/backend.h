@@ -173,7 +173,7 @@ EngineConfig scaledKeepConfig(const EngineConfig &base,
 /** EngineBackend knobs. */
 struct EngineBackendConfig
 {
-    /** The wrapped engine (pipeline, rowTile, sharding...). */
+    /** The wrapped engine (pipeline, rowTile, quality, pool). */
     EngineConfig engine;
     /**
      * Size of the backend-owned explicit ThreadPool. > 0: the

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -56,6 +58,49 @@ appendHeadTasks(const ModelWorkload &mw, bool kv_cold,
             out->push_back(t);
         }
     }
+}
+
+/** Throw std::invalid_argument when a rule of @p plan names a stage
+ * the engine does not have: such a rule could never fire. */
+void
+checkFaultStages(const FaultPlan &plan)
+{
+    const std::vector<std::string> names = Engine::stageNames();
+    for (const FaultRule &rule : plan.rules()) {
+        if (rule.stage.empty() ||
+            std::find(names.begin(), names.end(), rule.stage) !=
+                names.end())
+            continue;
+        std::string known;
+        for (const std::string &n : names)
+            known += (known.empty() ? "" : ", ") + n;
+        throw std::invalid_argument("no engine stage named '" +
+                                    rule.stage + "' (stages: " +
+                                    known + ")");
+    }
+}
+
+/** The plan a scheduler injects: `cfg.faults`, else SOFA_FAULTS when
+ * `cfg.faultsFromEnv`. An unknown stage name is rejected like any
+ * other malformed plan: an exception for a configured plan, fatal()
+ * naming the variable for an environment one. */
+FaultPlan
+faultPlanOf(const SchedulerConfig &cfg)
+{
+    if (!cfg.faults.empty()) {
+        checkFaultStages(cfg.faults);
+        return cfg.faults;
+    }
+    if (!cfg.faultsFromEnv)
+        return FaultPlan{};
+    const char *var = "SOFA_FAULTS";
+    FaultPlan plan = FaultPlan::fromEnv(var);
+    try {
+        checkFaultStages(plan);
+    } catch (const std::invalid_argument &e) {
+        fatal("%s: %s", var, e.what());
+    }
+    return plan;
 }
 
 } // namespace
@@ -166,10 +211,7 @@ struct Scheduler::Shard
 
 Scheduler::Scheduler(SchedulerConfig cfg)
     : cfg_(std::move(cfg)),
-      faults_(!cfg_.faults.empty()
-                  ? cfg_.faults
-                  : (cfg_.faultsFromEnv ? FaultPlan::fromEnv()
-                                        : FaultPlan{})),
+      faults_(faultPlanOf(cfg_)),
       started_(!cfg_.startPaused)
 {
     SOFA_ASSERT(cfg_.headBudget >= 1);

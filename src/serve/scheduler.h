@@ -245,6 +245,8 @@ struct BackendStats
 class Scheduler
 {
   public:
+    /** Throws std::invalid_argument when a rule of `cfg.faults` names
+     * no engine stage; such a SOFA_FAULTS rule is fatal. */
     explicit Scheduler(SchedulerConfig cfg = {});
     /** Closes admission, drains every admitted request, joins. */
     ~Scheduler();

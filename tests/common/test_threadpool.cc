@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <future>
 #include <mutex>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -54,52 +53,60 @@ TEST(ThreadPool, CoversRangeExactlyOnce)
 {
     ThreadPool pool(4);
     const std::size_t n = 1237;
-    std::vector<int> hits(n, 0);
-    // Shards are disjoint, so unsynchronized writes are race-free.
-    pool.parallelFor(n, 1,
-                     [&](std::size_t b, std::size_t e, int) {
-                         for (std::size_t i = b; i < e; ++i)
-                             hits[i] += 1;
-                     });
-    for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(hits[i], 1) << "row " << i;
+    for (const std::size_t grain : {std::size_t{1}, std::size_t{10}}) {
+        std::vector<int> hits(n, 0);
+        // Chunks are disjoint, so unsynchronized writes are race-free.
+        pool.parallelFor(n, grain,
+                         [&](std::size_t b, std::size_t e, int) {
+                             for (std::size_t i = b; i < e; ++i)
+                                 hits[i] += 1;
+                         });
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(hits[i], 1) << "grain " << grain << " row " << i;
+    }
 }
 
-TEST(ThreadPool, ShardsAreContiguousBalancedAndDistinctThreads)
+/** The chunk grid every mode must produce for (n, grain). */
+std::vector<std::array<std::size_t, 2>>
+expectedChunkGrid(std::size_t n, std::size_t grain)
 {
-    ThreadPool pool(4);
-    struct Seen
-    {
-        std::size_t begin, end;
-        int shard;
-        std::thread::id tid;
+    std::vector<std::array<std::size_t, 2>> grid;
+    for (std::size_t b = 0; b < n; b += grain)
+        grid.push_back({b, std::min(n, b + grain)});
+    return grid;
+}
+
+TEST(ThreadPool, ChunkGridIsDeterministicAcrossModes)
+{
+    const std::size_t n = 103, grain = 10; // ragged final chunk
+    const auto expect = expectedChunkGrid(n, grain);
+
+    const auto collect = [&](ThreadPool &pool) {
+        std::mutex mu;
+        std::vector<std::array<std::size_t, 3>> seen;
+        pool.parallelFor(
+            n, grain, [&](std::size_t b, std::size_t e, int chunk) {
+                std::lock_guard<std::mutex> lock(mu);
+                seen.push_back(
+                    {b, e, static_cast<std::size_t>(chunk)});
+            });
+        std::sort(seen.begin(), seen.end(),
+                  [](const auto &a, const auto &b) {
+                      return a[2] < b[2];
+                  });
+        return seen;
     };
-    std::mutex mu;
-    std::vector<Seen> seen;
-    pool.parallelFor(400, 1,
-                     [&](std::size_t b, std::size_t e, int shard) {
-                         std::lock_guard<std::mutex> lock(mu);
-                         seen.push_back(
-                             {b, e, shard,
-                              std::this_thread::get_id()});
-                     });
-    ASSERT_EQ(seen.size(), 4u);
-    std::sort(seen.begin(), seen.end(),
-              [](const Seen &a, const Seen &b) {
-                  return a.begin < b.begin;
-              });
-    std::size_t expect_begin = 0;
-    std::set<std::thread::id> tids;
-    for (const auto &s : seen) {
-        EXPECT_EQ(s.begin, expect_begin);
-        EXPECT_EQ(s.end - s.begin, 100u); // 400 rows over 4 shards
-        expect_begin = s.end;
-        tids.insert(s.tid);
+
+    ThreadPool wide(4), narrow(1);
+    for (auto *pool : {&wide, &narrow}) {
+        const auto seen = collect(*pool);
+        ASSERT_EQ(seen.size(), expect.size());
+        for (std::size_t c = 0; c < expect.size(); ++c) {
+            EXPECT_EQ(seen[c][0], expect[c][0]) << "chunk " << c;
+            EXPECT_EQ(seen[c][1], expect[c][1]) << "chunk " << c;
+            EXPECT_EQ(seen[c][2], c);
+        }
     }
-    EXPECT_EQ(expect_begin, 400u);
-    // Shards are pinned: shard 0 on the caller, shard s on worker
-    // s-1, so four shards means four distinct threads.
-    EXPECT_EQ(tids.size(), 4u);
 }
 
 TEST(ThreadPool, SmallRangeRunsSerialOnCaller)
@@ -107,85 +114,101 @@ TEST(ThreadPool, SmallRangeRunsSerialOnCaller)
     ThreadPool pool(4);
     int calls = 0;
     std::thread::id tid;
-    // grain 100 over 30 rows: one shard, inline on the caller.
+    // grain 100 over 30 rows: one chunk, inline on the caller.
     pool.parallelFor(30, 100,
-                     [&](std::size_t b, std::size_t e, int shard) {
+                     [&](std::size_t b, std::size_t e, int chunk) {
                          ++calls;
                          tid = std::this_thread::get_id();
                          EXPECT_EQ(b, 0u);
                          EXPECT_EQ(e, 30u);
-                         EXPECT_EQ(shard, 0);
+                         EXPECT_EQ(chunk, 0);
                      });
     EXPECT_EQ(calls, 1);
     EXPECT_EQ(tid, std::this_thread::get_id());
 }
 
-TEST(ThreadPool, GrainBoundsShardCount)
+TEST(ThreadPool, MoreThreadsThanChunks)
 {
     ThreadPool pool(8);
-    std::mutex mu;
-    int calls = 0;
-    // 100 rows with grain 30 fit at most 3 shards of >= 30 rows.
-    pool.parallelFor(100, 30,
-                     [&](std::size_t, std::size_t, int) {
-                         std::lock_guard<std::mutex> lock(mu);
-                         ++calls;
-                     });
-    EXPECT_LE(calls, 3);
-    EXPECT_GE(calls, 1);
+    std::vector<int> hits(3, 0);
+    pool.parallelFor(3, 1, [&](std::size_t b, std::size_t e, int) {
+        for (std::size_t i = b; i < e; ++i)
+            hits[i] += 1;
+    });
+    for (int h : hits)
+        EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPool, ScopedSerialForcesInlineExecution)
 {
     ThreadPool pool(4);
-    ThreadPool::ScopedSerial guard;
-    EXPECT_TRUE(ThreadPool::serialForced());
-    int calls = 0;
-    pool.parallelFor(1000, 1,
-                     [&](std::size_t b, std::size_t e, int) {
-                         ++calls;
-                         EXPECT_EQ(b, 0u);
-                         EXPECT_EQ(e, 1000u);
-                     });
-    EXPECT_EQ(calls, 1);
+    {
+        ThreadPool::ScopedSerial guard;
+        EXPECT_TRUE(ThreadPool::serialForced());
+        // The serial path runs the same grid, ascending, on the
+        // caller.
+        std::vector<int> order;
+        std::thread::id tid;
+        pool.parallelFor(95, 10,
+                         [&](std::size_t b, std::size_t e, int chunk) {
+                             order.push_back(chunk);
+                             tid = std::this_thread::get_id();
+                             EXPECT_EQ(b, 10u * chunk);
+                             EXPECT_EQ(e, std::min<std::size_t>(
+                                              95, b + 10));
+                         });
+        ASSERT_EQ(order.size(), 10u);
+        for (int c = 0; c < 10; ++c)
+            EXPECT_EQ(order[static_cast<std::size_t>(c)], c);
+        EXPECT_EQ(tid, std::this_thread::get_id());
+    }
+    EXPECT_FALSE(ThreadPool::serialForced());
 }
 
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock)
 {
     ThreadPool pool(4);
-    std::vector<std::int64_t> outer_sum(4, 0);
-    pool.parallelFor(
-        4, 1, [&](std::size_t b, std::size_t e, int shard) {
-            for (std::size_t i = b; i < e; ++i) {
-                // A nested call must degrade to serial inline
-                // execution on this participant.
-                std::int64_t s = 0;
-                parallelForRows(100, 1,
-                                [&](std::size_t nb, std::size_t ne) {
-                                    for (std::size_t j = nb; j < ne;
-                                         ++j)
-                                        s += static_cast<std::int64_t>(
-                                            j);
-                                });
-                outer_sum[static_cast<std::size_t>(shard)] = s;
-            }
+    std::vector<std::int64_t> rows_sum(4, 0), pool_sum(4, 0);
+    std::vector<int> rows_calls(4, 0);
+    pool.parallelFor(4, 1, [&](std::size_t, std::size_t, int chunk) {
+        const std::size_t c = static_cast<std::size_t>(chunk);
+        const std::thread::id outer = std::this_thread::get_id();
+        // parallelForRows has its own inline check: one fn(0, n)
+        // call on this participant.
+        parallelForRows(100, 1, [&](std::size_t nb, std::size_t ne) {
+            ++rows_calls[c];
+            EXPECT_EQ(std::this_thread::get_id(), outer);
+            for (std::size_t j = nb; j < ne; ++j)
+                rows_sum[c] += static_cast<std::int64_t>(j);
         });
-    for (const auto s : outer_sum)
-        EXPECT_EQ(s, 4950);
+        // A nested pool call runs its whole grid inline here.
+        pool.parallelFor(100, 10,
+                         [&](std::size_t nb, std::size_t ne, int) {
+                             EXPECT_EQ(std::this_thread::get_id(),
+                                       outer);
+                             for (std::size_t j = nb; j < ne; ++j)
+                                 pool_sum[c] +=
+                                     static_cast<std::int64_t>(j);
+                         });
+    });
+    for (std::size_t c = 0; c < 4; ++c) {
+        EXPECT_EQ(rows_calls[c], 1);
+        EXPECT_EQ(rows_sum[c], 4950);
+        EXPECT_EQ(pool_sum[c], 4950);
+    }
 }
 
 TEST(ThreadPool, ReusableAcrossManyDispatches)
 {
     ThreadPool pool(3);
+    const std::size_t n = 301, grain = 7;
     for (int round = 0; round < 50; ++round) {
-        std::vector<std::int64_t> partial(
-            static_cast<std::size_t>(pool.threads()), 0);
+        // One slot per chunk of the grid, not per thread.
+        std::vector<std::int64_t> partial((n + grain - 1) / grain, 0);
         pool.parallelFor(
-            301, 1, [&](std::size_t b, std::size_t e, int shard) {
-                std::int64_t s = 0;
-                for (std::size_t i = b; i < e; ++i)
-                    s += 1;
-                partial[static_cast<std::size_t>(shard)] = s;
+            n, grain, [&](std::size_t b, std::size_t e, int chunk) {
+                partial[static_cast<std::size_t>(chunk)] =
+                    static_cast<std::int64_t>(e - b);
             });
         std::int64_t total = 0;
         for (const auto p : partial)
@@ -197,25 +220,42 @@ TEST(ThreadPool, ReusableAcrossManyDispatches)
 TEST(ThreadPool, WorkerShardExceptionPropagatesToCaller)
 {
     ThreadPool pool(4);
-    struct ShardError
+    struct ChunkError
     {
     };
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> worker_threw{false};
+    std::vector<int> runs(400, 0); // written by the caller only
     EXPECT_THROW(
-        pool.parallelFor(400, 1,
-                         [&](std::size_t b, std::size_t, int shard) {
-                             if (shard != 0)
-                                 throw ShardError{};
-                             (void)b;
-                         }),
-        ShardError);
+        pool.parallelFor(
+            400, 1,
+            [&](std::size_t b, std::size_t, int) {
+                if (std::this_thread::get_id() != caller) {
+                    worker_threw = true;
+                    throw ChunkError{};
+                }
+                // Hold the caller's first chunk until a worker has
+                // thrown, so a worker exception is certain to exist.
+                while (!worker_threw)
+                    std::this_thread::yield();
+                ++runs[b];
+            }),
+        ChunkError);
+    // Each thrower stops claiming and the caller drains the grid: no
+    // chunk runs twice, and only the workers' (at most three) are
+    // lost.
+    int ran = 0;
+    for (const int r : runs) {
+        EXPECT_LE(r, 1);
+        ran += r;
+    }
+    EXPECT_GE(ran, 397);
+    EXPECT_LE(ran, 399);
     // The pool stays usable after an exceptional dispatch.
-    int calls = 0;
-    std::mutex mu;
-    pool.parallelFor(400, 1, [&](std::size_t, std::size_t, int) {
-        std::lock_guard<std::mutex> lock(mu);
-        ++calls;
-    });
-    EXPECT_EQ(calls, 4);
+    std::atomic<int> calls{0};
+    pool.parallelFor(400, 10,
+                     [&](std::size_t, std::size_t, int) { ++calls; });
+    EXPECT_EQ(calls.load(), 40);
 }
 
 TEST(ThreadPool, CallerShardExceptionWinsAndDrainsWorkers)
@@ -224,18 +264,36 @@ TEST(ThreadPool, CallerShardExceptionWinsAndDrainsWorkers)
     struct CallerError
     {
     };
-    std::vector<int> done(4, 0);
+    struct WorkerError
+    {
+    };
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> caller_in{false}, worker_threw{false};
+    std::atomic<int> done{0};
     EXPECT_THROW(
-        pool.parallelFor(400, 1,
-                         [&](std::size_t, std::size_t, int shard) {
-                             if (shard == 0)
-                                 throw CallerError{};
-                             done[static_cast<std::size_t>(shard)] =
-                                 1;
-                         }),
+        pool.parallelFor(
+            400, 1,
+            [&](std::size_t, std::size_t, int) {
+                if (std::this_thread::get_id() == caller) {
+                    // Throw only once a worker has thrown too: both
+                    // exceptions exist, and the caller's must win.
+                    caller_in = true;
+                    while (!worker_threw)
+                        std::this_thread::yield();
+                    throw CallerError{};
+                }
+                // Workers hold their first chunk until the caller
+                // has claimed one, so it cannot find the grid empty.
+                while (!caller_in)
+                    std::this_thread::yield();
+                if (!worker_threw.exchange(true))
+                    throw WorkerError{};
+                ++done;
+            }),
         CallerError);
-    // Worker shards completed before the exception surfaced.
-    EXPECT_EQ(done[1] + done[2] + done[3], 3);
+    // The two other workers drained every remaining chunk before the
+    // exception surfaced: all but the two throwing ones ran.
+    EXPECT_EQ(done.load(), 398);
 }
 
 TEST(ThreadPool, ZeroRowsIsANoop)
@@ -303,7 +361,7 @@ TEST(TaskQueue, ConcurrencyNeverExceedsWorkers)
 TEST(TaskQueue, TasksMayUseParallelFor)
 {
     // The serve scheduler's pattern: asynchronous tasks that each
-    // run a pool-sharded computation. Concurrent top-level
+    // run a pool-chunked computation. Concurrent top-level
     // parallelFor calls serialize per epoch and stay correct.
     ThreadPool pool(4);
     TaskQueue q(2);
@@ -341,154 +399,6 @@ TEST(TaskQueue, DestructorDrainsPendingTasks)
     EXPECT_EQ(done.load(), 5);
 }
 
-TEST(ThreadPoolDynamic, CoversRangeExactlyOnce)
-{
-    ThreadPool pool(4);
-    const std::size_t n = 1237;
-    std::vector<int> hits(n, 0);
-    // Chunks are disjoint, so unsynchronized writes are race-free.
-    pool.parallelForDynamic(n, 10,
-                            [&](std::size_t b, std::size_t e, int) {
-                                for (std::size_t i = b; i < e; ++i)
-                                    hits[i] += 1;
-                            });
-    for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(hits[i], 1) << "row " << i;
-}
-
-/** The chunk grid every mode must produce for (n, grain). */
-std::vector<std::array<std::size_t, 2>>
-expectedChunkGrid(std::size_t n, std::size_t grain)
-{
-    std::vector<std::array<std::size_t, 2>> grid;
-    for (std::size_t b = 0; b < n; b += grain)
-        grid.push_back({b, std::min(n, b + grain)});
-    return grid;
-}
-
-TEST(ThreadPoolDynamic, ChunkGridIsDeterministicAcrossModes)
-{
-    const std::size_t n = 103, grain = 10; // ragged final chunk
-    const auto expect = expectedChunkGrid(n, grain);
-
-    const auto collect = [&](ThreadPool &pool) {
-        std::mutex mu;
-        std::vector<std::array<std::size_t, 3>> seen;
-        pool.parallelForDynamic(
-            n, grain, [&](std::size_t b, std::size_t e, int chunk) {
-                std::lock_guard<std::mutex> lock(mu);
-                seen.push_back(
-                    {b, e, static_cast<std::size_t>(chunk)});
-            });
-        std::sort(seen.begin(), seen.end(),
-                  [](const auto &a, const auto &b) {
-                      return a[2] < b[2];
-                  });
-        return seen;
-    };
-
-    ThreadPool wide(4), narrow(1);
-    for (auto *pool : {&wide, &narrow}) {
-        const auto seen = collect(*pool);
-        ASSERT_EQ(seen.size(), expect.size());
-        for (std::size_t c = 0; c < expect.size(); ++c) {
-            EXPECT_EQ(seen[c][0], expect[c][0]) << "chunk " << c;
-            EXPECT_EQ(seen[c][1], expect[c][1]) << "chunk " << c;
-            EXPECT_EQ(seen[c][2], c);
-        }
-    }
-}
-
-TEST(ThreadPoolDynamic, SerialPathRunsGridAscendingOnCaller)
-{
-    ThreadPool pool(4);
-    ThreadPool::ScopedSerial serial;
-    std::vector<int> order;
-    std::thread::id tid;
-    pool.parallelForDynamic(95, 10,
-                            [&](std::size_t b, std::size_t e,
-                                int chunk) {
-                                order.push_back(chunk);
-                                tid = std::this_thread::get_id();
-                                EXPECT_EQ(b, 10u * chunk);
-                                EXPECT_EQ(e, std::min<std::size_t>(
-                                                 95, b + 10));
-                            });
-    ASSERT_EQ(order.size(), 10u);
-    for (int c = 0; c < 10; ++c)
-        EXPECT_EQ(order[static_cast<std::size_t>(c)], c);
-    EXPECT_EQ(tid, std::this_thread::get_id());
-}
-
-TEST(ThreadPoolDynamic, MoreThreadsThanChunks)
-{
-    ThreadPool pool(8);
-    std::vector<int> hits(3, 0);
-    pool.parallelForDynamic(3, 1,
-                            [&](std::size_t b, std::size_t e, int) {
-                                for (std::size_t i = b; i < e; ++i)
-                                    hits[i] += 1;
-                            });
-    for (int h : hits)
-        EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPoolDynamic, NestedCallRunsInline)
-{
-    ThreadPool pool(4);
-    std::vector<std::int64_t> outer(4, 0);
-    pool.parallelFor(
-        4, 1, [&](std::size_t b, std::size_t e, int shard) {
-            for (std::size_t i = b; i < e; ++i) {
-                std::int64_t s = 0;
-                pool.parallelForDynamic(
-                    100, 10,
-                    [&](std::size_t nb, std::size_t ne, int) {
-                        for (std::size_t j = nb; j < ne; ++j)
-                            s += static_cast<std::int64_t>(j);
-                    });
-                outer[static_cast<std::size_t>(shard)] = s;
-            }
-        });
-    for (const auto s : outer)
-        EXPECT_EQ(s, 4950);
-}
-
-TEST(ThreadPoolDynamic, ExceptionPropagatesAndPoolSurvives)
-{
-    ThreadPool pool(4);
-    struct ChunkError
-    {
-    };
-    std::atomic<int> ran{0};
-    EXPECT_THROW(pool.parallelForDynamic(
-                     400, 10,
-                     [&](std::size_t, std::size_t, int chunk) {
-                         if (chunk == 3)
-                             throw ChunkError{};
-                         ++ran;
-                     }),
-                 ChunkError);
-    // The thrower stops claiming; the others drain the grid, so no
-    // chunk runs twice and at most one (the thrower's) is lost.
-    EXPECT_LE(ran.load(), 39);
-    std::atomic<int> calls{0};
-    pool.parallelForDynamic(400, 10,
-                            [&](std::size_t, std::size_t, int) {
-                                ++calls;
-                            });
-    EXPECT_EQ(calls.load(), 40);
-}
-
-TEST(ThreadPoolDynamic, ZeroRowsIsANoop)
-{
-    ThreadPool pool(4);
-    int calls = 0;
-    pool.parallelForDynamic(
-        0, 1, [&](std::size_t, std::size_t, int) { ++calls; });
-    EXPECT_EQ(calls, 0);
-}
-
 TEST(ThreadPoolDefaultsLate, RejectedOncePoolExists)
 {
     // Self-contained: force the process-wide pool into existence,
@@ -524,7 +434,7 @@ TEST(ParallelForRows, ClaimsGrainSizedChunksCoveringEveryRowOnce)
 
 TEST(GrainForRowCost, ScalesInverselyWithRowCost)
 {
-    // Expensive rows shard immediately; cheap rows need big shards.
+    // Expensive rows chunk immediately; cheap rows need big chunks.
     EXPECT_EQ(grainForRowCost(2.0 * 1024 * 1024 * 1024), 1u);
     const std::size_t cheap = grainForRowCost(10.0);
     const std::size_t mid = grainForRowCost(10000.0);

@@ -1,12 +1,13 @@
 /**
  * Thread-invariance matrix for the stage engine: every combination of
- * {serial, 1, 2, 3, 7, 16} pool participants x {static, dynamic}
- * sharding x {prefill, decode, mixed-ragged} task lists must produce
- * results bit-identical to the serial static reference — outputs,
- * selections, every OpCounter field, KV cache hits, tile counts.
- * Degenerate shard shapes (more threads than work items, one giant
- * head dominating the cost order) are covered explicitly, because
- * those are the schedules where a non-canonical merge would show up.
+ * {1, 2, 3, 7, 16} pool participants x {prefill, decode,
+ * mixed-ragged} task lists must produce results bit-identical to the
+ * serial (ScopedSerial) reference — outputs, selections, every
+ * OpCounter field, KV cache hits, tile counts. Each thread count is
+ * a different schedule of the same unit grid. Degenerate shapes
+ * (more threads than work items, one giant head dominating the cost
+ * order) are covered explicitly, because those are the schedules
+ * where a non-canonical merge would show up.
  */
 
 #include <gtest/gtest.h>
@@ -89,9 +90,9 @@ struct TaskFixture
 
     TaskFixture()
     {
-        // Ragged prefill shapes: one giant head (index 0) that a
-        // static split would serialize behind, several small ones,
-        // and a single-row head (degenerate tile grid).
+        // Ragged prefill shapes: one giant head (index 0) that leads
+        // the cost order, several small ones, and a single-row head
+        // (degenerate tile grid).
         std::vector<WorkloadSpec> specs;
         WorkloadSpec giant;
         giant.seq = 256;
@@ -148,12 +149,11 @@ fixture()
 }
 
 EngineConfig
-baseConfig(bool dynamic, ThreadPool *pool)
+baseConfig(ThreadPool *pool)
 {
     EngineConfig cfg;
     cfg.pipeline.topkFrac = 0.25;
     cfg.rowTile = 4; // several tiles per head
-    cfg.dynamicSharding = dynamic;
     cfg.computeQuality = false; // the matrix is about scheduling
     cfg.pool = pool;
     return cfg;
@@ -180,34 +180,22 @@ TEST_P(EngineInvariance, BitExactAcrossThreadsAndSchedulers)
 {
     const std::vector<HeadTask> &ts = tasks();
 
-    // Reference: serial, static split.
+    // Reference: the serial path (the unit grid in ascending order on
+    // the caller).
     EngineResult ref;
     {
         ThreadPool::ScopedSerial serial;
-        ref = Engine(baseConfig(false, nullptr)).run(ts);
+        ref = Engine(baseConfig(nullptr)).run(ts);
     }
     ASSERT_EQ(ref.heads.size(), ts.size());
     ASSERT_GT(ref.totalOps().total(), 0);
 
-    // Serial dynamic must run the identical chunk grid.
-    {
-        ThreadPool::ScopedSerial serial;
-        const EngineResult er =
-            Engine(baseConfig(true, nullptr)).run(ts);
-        expectSameEngineResult(er, ref, "serial/dynamic");
-    }
-
     for (int threads : {1, 2, 3, 7, 16}) {
         ThreadPool pool(threads);
-        for (bool dynamic : {false, true}) {
-            const EngineResult er =
-                Engine(baseConfig(dynamic, &pool)).run(ts);
-            const std::string what =
-                std::string(GetParam()) + "/" +
-                std::to_string(threads) + "t/" +
-                (dynamic ? "dynamic" : "static");
-            expectSameEngineResult(er, ref, what.c_str());
-        }
+        const EngineResult er = Engine(baseConfig(&pool)).run(ts);
+        const std::string what = std::string(GetParam()) + "/" +
+                                 std::to_string(threads) + "t";
+        expectSameEngineResult(er, ref, what.c_str());
     }
 }
 
@@ -222,41 +210,34 @@ TEST(EngineInvariance, QualityMetricsInvariantToo)
     const TaskFixture &f = fixture();
     std::vector<HeadTask> ts(f.prefill.begin(),
                              f.prefill.begin() + 3);
-    EngineConfig cfg = baseConfig(true, nullptr);
+    EngineConfig cfg = baseConfig(nullptr);
     cfg.computeQuality = true;
     EngineResult ref;
     {
         ThreadPool::ScopedSerial serial;
-        EngineConfig scfg = cfg;
-        scfg.dynamicSharding = false;
-        ref = Engine(scfg).run(ts);
+        ref = Engine(cfg).run(ts);
     }
     ThreadPool pool(7);
     cfg.pool = &pool;
     const EngineResult er = Engine(cfg).run(ts);
-    expectSameEngineResult(er, ref, "quality/7t/dynamic");
+    expectSameEngineResult(er, ref, "quality/7t");
 }
 
 TEST(EngineInvariance, MoreThreadsThanWork)
 {
-    // Degenerate shard shape: one task, 16 participants, both
-    // schedulers — everyone but one claimant must find no work.
+    // Degenerate shape: one task, 16 participants — in the
+    // whole-head stages everyone but one claimant finds no work.
     const TaskFixture &f = fixture();
     std::vector<HeadTask> one(f.prefill.begin(),
                               f.prefill.begin() + 1);
     EngineResult ref;
     {
         ThreadPool::ScopedSerial serial;
-        ref = Engine(baseConfig(false, nullptr)).run(one);
+        ref = Engine(baseConfig(nullptr)).run(one);
     }
     ThreadPool pool(16);
-    for (bool dynamic : {false, true}) {
-        const EngineResult er =
-            Engine(baseConfig(dynamic, &pool)).run(one);
-        expectSameEngineResult(er, ref,
-                               dynamic ? "one-task/dynamic"
-                                       : "one-task/static");
-    }
+    const EngineResult er = Engine(baseConfig(&pool)).run(one);
+    expectSameEngineResult(er, ref, "one-task/16t");
 }
 
 } // namespace

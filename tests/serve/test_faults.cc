@@ -171,6 +171,24 @@ outcomesLine(const OutcomeCounts &c)
            " retried=" + std::to_string(c.retried);
 }
 
+TEST(FaultsDeath, PlanNamingNoEngineStageIsRejected)
+{
+    // "sads" is not a stage (sads_topk is): the grammar accepts the
+    // rule, but it could never fire, so the scheduler refuses it
+    // rather than silently inject nothing.
+    const char *typo = "fail:stage=sads";
+    EXPECT_THROW(Scheduler{faultConfig(typo)}, std::invalid_argument);
+    EXPECT_NO_THROW(Scheduler{faultConfig("fail:stage=sads_topk")});
+    // Through the environment it is fatal, like a grammar error.
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    EXPECT_EXIT(
+        {
+            setenv("SOFA_FAULTS", typo, 1);
+            Scheduler sched{SchedulerConfig{}};
+        },
+        ::testing::ExitedWithCode(1), "SOFA_FAULTS: .*'sads'");
+}
+
 TEST(Faults, TransientFailureRetriesThenCompletes)
 {
     // Request 1 fails its first two attempts (the merged run and

@@ -108,14 +108,16 @@ TEST(KernelsThreaded, ExplicitPoolShardsAreDeterministic)
     ThreadPool pool(4);
     const std::size_t n = 10007;
     auto run = [&] {
-        std::vector<std::int64_t> partial(
-            static_cast<std::size_t>(pool.threads()), 0);
-        pool.parallelFor(n, 1,
-                         [&](std::size_t b, std::size_t e, int shard) {
+        // One slot per chunk of the fixed grid (ceil(n / grain)), not
+        // per thread: the chunk index is what the body receives.
+        const std::size_t grain = 100;
+        std::vector<std::int64_t> partial((n + grain - 1) / grain, 0);
+        pool.parallelFor(n, grain,
+                         [&](std::size_t b, std::size_t e, int chunk) {
                              std::int64_t s = 0;
                              for (std::size_t i = b; i < e; ++i)
                                  s += static_cast<std::int64_t>(i);
-                             partial[static_cast<std::size_t>(shard)] =
+                             partial[static_cast<std::size_t>(chunk)] =
                                  s;
                          });
         std::int64_t total = 0;
