@@ -53,60 +53,15 @@ TEST(ThreadPool, CoversRangeExactlyOnce)
 {
     ThreadPool pool(4);
     const std::size_t n = 1237;
-    for (const std::size_t grain : {std::size_t{1}, std::size_t{10}}) {
-        std::vector<int> hits(n, 0);
-        // Chunks are disjoint, so unsynchronized writes are race-free.
-        pool.parallelFor(n, grain,
-                         [&](std::size_t b, std::size_t e, int) {
-                             for (std::size_t i = b; i < e; ++i)
-                                 hits[i] += 1;
-                         });
-        for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(hits[i], 1) << "grain " << grain << " row " << i;
-    }
-}
-
-/** The chunk grid every mode must produce for (n, grain). */
-std::vector<std::array<std::size_t, 2>>
-expectedChunkGrid(std::size_t n, std::size_t grain)
-{
-    std::vector<std::array<std::size_t, 2>> grid;
-    for (std::size_t b = 0; b < n; b += grain)
-        grid.push_back({b, std::min(n, b + grain)});
-    return grid;
-}
-
-TEST(ThreadPool, ChunkGridIsDeterministicAcrossModes)
-{
-    const std::size_t n = 103, grain = 10; // ragged final chunk
-    const auto expect = expectedChunkGrid(n, grain);
-
-    const auto collect = [&](ThreadPool &pool) {
-        std::mutex mu;
-        std::vector<std::array<std::size_t, 3>> seen;
-        pool.parallelFor(
-            n, grain, [&](std::size_t b, std::size_t e, int chunk) {
-                std::lock_guard<std::mutex> lock(mu);
-                seen.push_back(
-                    {b, e, static_cast<std::size_t>(chunk)});
-            });
-        std::sort(seen.begin(), seen.end(),
-                  [](const auto &a, const auto &b) {
-                      return a[2] < b[2];
-                  });
-        return seen;
-    };
-
-    ThreadPool wide(4), narrow(1);
-    for (auto *pool : {&wide, &narrow}) {
-        const auto seen = collect(*pool);
-        ASSERT_EQ(seen.size(), expect.size());
-        for (std::size_t c = 0; c < expect.size(); ++c) {
-            EXPECT_EQ(seen[c][0], expect[c][0]) << "chunk " << c;
-            EXPECT_EQ(seen[c][1], expect[c][1]) << "chunk " << c;
-            EXPECT_EQ(seen[c][2], c);
-        }
-    }
+    std::vector<int> hits(n, 0);
+    // Chunks are disjoint, so unsynchronized writes are race-free.
+    pool.parallelFor(n, 1,
+                     [&](std::size_t b, std::size_t e, int) {
+                         for (std::size_t i = b; i < e; ++i)
+                             hits[i] += 1;
+                     });
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(hits[i], 1) << "row " << i;
 }
 
 TEST(ThreadPool, SmallRangeRunsSerialOnCaller)
@@ -127,40 +82,29 @@ TEST(ThreadPool, SmallRangeRunsSerialOnCaller)
     EXPECT_EQ(tid, std::this_thread::get_id());
 }
 
-TEST(ThreadPool, MoreThreadsThanChunks)
-{
-    ThreadPool pool(8);
-    std::vector<int> hits(3, 0);
-    pool.parallelFor(3, 1, [&](std::size_t b, std::size_t e, int) {
-        for (std::size_t i = b; i < e; ++i)
-            hits[i] += 1;
-    });
-    for (int h : hits)
-        EXPECT_EQ(h, 1);
-}
-
 TEST(ThreadPool, ScopedSerialForcesInlineExecution)
 {
     ThreadPool pool(4);
     {
-        ThreadPool::ScopedSerial guard;
+        ThreadPool::ScopedSerial outer;
         EXPECT_TRUE(ThreadPool::serialForced());
-        // The serial path runs the same grid, ascending, on the
-        // caller.
-        std::vector<int> order;
-        std::thread::id tid;
-        pool.parallelFor(95, 10,
-                         [&](std::size_t b, std::size_t e, int chunk) {
-                             order.push_back(chunk);
-                             tid = std::this_thread::get_id();
-                             EXPECT_EQ(b, 10u * chunk);
-                             EXPECT_EQ(e, std::min<std::size_t>(
-                                              95, b + 10));
+        {
+            ThreadPool::ScopedSerial inner;
+            EXPECT_TRUE(ThreadPool::serialForced());
+        }
+        // Guards nest: the outer one still forces serial.
+        EXPECT_TRUE(ThreadPool::serialForced());
+        // Every chunk runs on the caller, so the plain counter needs
+        // no synchronization.
+        const std::thread::id caller = std::this_thread::get_id();
+        int calls = 0;
+        pool.parallelFor(1000, 1,
+                         [&](std::size_t, std::size_t, int) {
+                             EXPECT_EQ(std::this_thread::get_id(),
+                                       caller);
+                             ++calls;
                          });
-        ASSERT_EQ(order.size(), 10u);
-        for (int c = 0; c < 10; ++c)
-            EXPECT_EQ(order[static_cast<std::size_t>(c)], c);
-        EXPECT_EQ(tid, std::this_thread::get_id());
+        EXPECT_EQ(calls, 1000);
     }
     EXPECT_FALSE(ThreadPool::serialForced());
 }
@@ -168,33 +112,23 @@ TEST(ThreadPool, ScopedSerialForcesInlineExecution)
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock)
 {
     ThreadPool pool(4);
-    std::vector<std::int64_t> rows_sum(4, 0), pool_sum(4, 0);
+    std::vector<std::int64_t> rows_sum(4, 0);
     std::vector<int> rows_calls(4, 0);
     pool.parallelFor(4, 1, [&](std::size_t, std::size_t, int chunk) {
         const std::size_t c = static_cast<std::size_t>(chunk);
         const std::thread::id outer = std::this_thread::get_id();
-        // parallelForRows has its own inline check: one fn(0, n)
-        // call on this participant.
+        // A nested parallelForRows degrades to one fn(0, n) call on
+        // this participant.
         parallelForRows(100, 1, [&](std::size_t nb, std::size_t ne) {
             ++rows_calls[c];
             EXPECT_EQ(std::this_thread::get_id(), outer);
             for (std::size_t j = nb; j < ne; ++j)
                 rows_sum[c] += static_cast<std::int64_t>(j);
         });
-        // A nested pool call runs its whole grid inline here.
-        pool.parallelFor(100, 10,
-                         [&](std::size_t nb, std::size_t ne, int) {
-                             EXPECT_EQ(std::this_thread::get_id(),
-                                       outer);
-                             for (std::size_t j = nb; j < ne; ++j)
-                                 pool_sum[c] +=
-                                     static_cast<std::int64_t>(j);
-                         });
     });
     for (std::size_t c = 0; c < 4; ++c) {
         EXPECT_EQ(rows_calls[c], 1);
         EXPECT_EQ(rows_sum[c], 4950);
-        EXPECT_EQ(pool_sum[c], 4950);
     }
 }
 
@@ -397,6 +331,153 @@ TEST(TaskQueue, DestructorDrainsPendingTasks)
             });
     } // dtor waits for all five
     EXPECT_EQ(done.load(), 5);
+}
+
+// The chunk-claiming contract of parallelFor: the grid of
+// ceil(n / grain) chunks, claimed by every participant.
+TEST(ThreadPoolDynamic, CoversRangeExactlyOnce)
+{
+    ThreadPool pool(4);
+    const std::size_t n = 1237;
+    std::vector<int> hits(n, 0);
+    // Chunks are disjoint, so unsynchronized writes are race-free.
+    pool.parallelFor(n, 10, [&](std::size_t b, std::size_t e, int) {
+        for (std::size_t i = b; i < e; ++i)
+            hits[i] += 1;
+    });
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(hits[i], 1) << "row " << i;
+}
+
+/** The chunk grid every mode must produce for (n, grain). */
+std::vector<std::array<std::size_t, 2>>
+expectedChunkGrid(std::size_t n, std::size_t grain)
+{
+    std::vector<std::array<std::size_t, 2>> grid;
+    for (std::size_t b = 0; b < n; b += grain)
+        grid.push_back({b, std::min(n, b + grain)});
+    return grid;
+}
+
+TEST(ThreadPoolDynamic, ChunkGridIsDeterministicAcrossModes)
+{
+    const std::size_t n = 103, grain = 10; // ragged final chunk
+    const auto expect = expectedChunkGrid(n, grain);
+
+    const auto collect = [&](ThreadPool &pool) {
+        std::mutex mu;
+        std::vector<std::array<std::size_t, 3>> seen;
+        pool.parallelFor(
+            n, grain, [&](std::size_t b, std::size_t e, int chunk) {
+                std::lock_guard<std::mutex> lock(mu);
+                seen.push_back(
+                    {b, e, static_cast<std::size_t>(chunk)});
+            });
+        std::sort(seen.begin(), seen.end(),
+                  [](const auto &a, const auto &b) {
+                      return a[2] < b[2];
+                  });
+        return seen;
+    };
+
+    ThreadPool wide(4), narrow(1);
+    for (auto *pool : {&wide, &narrow}) {
+        const auto seen = collect(*pool);
+        ASSERT_EQ(seen.size(), expect.size());
+        for (std::size_t c = 0; c < expect.size(); ++c) {
+            EXPECT_EQ(seen[c][0], expect[c][0]) << "chunk " << c;
+            EXPECT_EQ(seen[c][1], expect[c][1]) << "chunk " << c;
+            EXPECT_EQ(seen[c][2], c);
+        }
+    }
+}
+
+TEST(ThreadPoolDynamic, SerialPathRunsGridAscendingOnCaller)
+{
+    ThreadPool pool(4);
+    ThreadPool::ScopedSerial serial;
+    std::vector<int> order;
+    std::thread::id tid;
+    pool.parallelFor(95, 10,
+                     [&](std::size_t b, std::size_t e, int chunk) {
+                         order.push_back(chunk);
+                         tid = std::this_thread::get_id();
+                         EXPECT_EQ(b, 10u * chunk);
+                         EXPECT_EQ(e, std::min<std::size_t>(95, b + 10));
+                     });
+    ASSERT_EQ(order.size(), 10u);
+    for (int c = 0; c < 10; ++c)
+        EXPECT_EQ(order[static_cast<std::size_t>(c)], c);
+    EXPECT_EQ(tid, std::this_thread::get_id());
+}
+
+TEST(ThreadPoolDynamic, MoreThreadsThanChunks)
+{
+    ThreadPool pool(8);
+    std::vector<int> hits(3, 0);
+    pool.parallelFor(3, 1, [&](std::size_t b, std::size_t e, int) {
+        for (std::size_t i = b; i < e; ++i)
+            hits[i] += 1;
+    });
+    for (int h : hits)
+        EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPoolDynamic, NestedCallRunsInline)
+{
+    ThreadPool pool(4);
+    std::vector<std::int64_t> outer_sum(4, 0);
+    pool.parallelFor(4, 1, [&](std::size_t, std::size_t, int chunk) {
+        const std::size_t c = static_cast<std::size_t>(chunk);
+        const std::thread::id outer = std::this_thread::get_id();
+        // A nested pool call runs its whole grid inline here.
+        pool.parallelFor(100, 10,
+                         [&](std::size_t nb, std::size_t ne, int) {
+                             EXPECT_EQ(std::this_thread::get_id(),
+                                       outer);
+                             for (std::size_t j = nb; j < ne; ++j)
+                                 outer_sum[c] +=
+                                     static_cast<std::int64_t>(j);
+                         });
+    });
+    for (const auto s : outer_sum)
+        EXPECT_EQ(s, 4950);
+}
+
+TEST(ThreadPoolDynamic, ExceptionPropagatesAndPoolSurvives)
+{
+    ThreadPool pool(4);
+    struct ChunkError
+    {
+    };
+    std::atomic<int> ran{0};
+    EXPECT_THROW(pool.parallelFor(400, 10,
+                                  [&](std::size_t, std::size_t,
+                                      int chunk) {
+                                      if (chunk == 3)
+                                          throw ChunkError{};
+                                      ++ran;
+                                  }),
+                 ChunkError);
+    // The thrower stops claiming and the others drain the grid: no
+    // chunk runs twice and only the throwing one is lost.
+    EXPECT_EQ(ran.load(), 39);
+    std::atomic<int> calls{0};
+    pool.parallelFor(400, 10,
+                     [&](std::size_t, std::size_t, int) { ++calls; });
+    EXPECT_EQ(calls.load(), 40);
+}
+
+TEST(ThreadPoolDynamic, ZeroRowsIsANoop)
+{
+    ThreadPool pool(4);
+    int calls = 0;
+    // Grain 0 counts as 1; no grain makes a chunk out of no rows.
+    for (const std::size_t grain :
+         {std::size_t{0}, std::size_t{1}, std::size_t{10}})
+        pool.parallelFor(0, grain,
+                         [&](std::size_t, std::size_t, int) { ++calls; });
+    EXPECT_EQ(calls, 0);
 }
 
 TEST(ThreadPoolDefaultsLate, RejectedOncePoolExists)
