@@ -24,6 +24,10 @@ Fails when the documentation drifts from the actual source tree:
     so namespaces like std:: are skipped) must name a type and a
     member that both still occur in src/, so a deleted field, method
     or enum value cannot stay documented;
+  * every backticked CamelCase name in those docs (two or more
+    capitalized words run together, e.g. a type) must occur in src/
+    or in a CMakeLists.txt, so a deleted type cannot stay
+    documented;
   * no file under src/{common,tensor,sparsity,model,attention,core,
     serve} may include arch/, baselines/ or energy/: the paper's
     cycle model and the GPU/TPU baselines are evaluation models that
@@ -236,6 +240,19 @@ def main():
                 errors.append(f"{path}: `{typ}::{member}` names "
                               "something src/ no longer has")
 
+    # --- backticked CamelCase names in the docs <-> src/ -------
+    cmake_words = set(re.findall(r"\w+", "\n".join(
+        read(p) for p in ["CMakeLists.txt"]
+        + glob.glob("*/CMakeLists.txt"))))
+    for path in docs:
+        named = set()
+        for span in re.findall(r"`([^`\n]+)`", read(path)):
+            named.update(re.findall(
+                r"\b[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+\b", span))
+        for name in sorted(named - src_words - cmake_words):
+            errors.append(f"{path}: `{name}` occurs in neither src/ "
+                          "nor a CMakeLists.txt")
+
     # --- layering: the runtime never includes the models --------
     runtime = ("common", "tensor", "sparsity", "model", "attention",
                "core", "serve")
@@ -294,8 +311,8 @@ def main():
         return 1
     print(f"check_docs: {len(modules)} src modules, {len(benches)} "
           "bench binaries, serving docs, SOFA_* names, Backend types, "
-          "Type::member names, layering, units headers and goldens "
-          "all in sync")
+          "Type::member and CamelCase names, layering, units headers "
+          "and goldens all in sync")
     return 0
 
 

@@ -241,72 +241,6 @@ ThreadPool::serialForced()
     return g_serial_depth.load(std::memory_order_relaxed) > 0;
 }
 
-TaskQueue::TaskQueue(int workers) : nworkers_(std::max(1, workers))
-{
-    threads_.reserve(static_cast<std::size_t>(nworkers_));
-    for (int w = 0; w < nworkers_; ++w)
-        threads_.emplace_back([this] { workerLoop(); });
-}
-
-TaskQueue::~TaskQueue()
-{
-    wait();
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        stop_ = true;
-    }
-    work_cv_.notify_all();
-    for (auto &t : threads_)
-        t.join();
-}
-
-std::future<void>
-TaskQueue::submit(std::function<void()> task)
-{
-    std::packaged_task<void()> pt(std::move(task));
-    std::future<void> fut = pt.get_future();
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        tasks_.push_back(std::move(pt));
-    }
-    work_cv_.notify_one();
-    return fut;
-}
-
-void
-TaskQueue::wait()
-{
-    std::unique_lock<std::mutex> lk(m_);
-    idle_cv_.wait(lk,
-                  [&] { return tasks_.empty() && running_ == 0; });
-}
-
-std::size_t
-TaskQueue::pending() const
-{
-    std::lock_guard<std::mutex> lk(m_);
-    return tasks_.size();
-}
-
-void
-TaskQueue::workerLoop()
-{
-    std::unique_lock<std::mutex> lk(m_);
-    for (;;) {
-        work_cv_.wait(lk, [&] { return stop_ || !tasks_.empty(); });
-        if (tasks_.empty())
-            return; // stop_ and drained
-        std::packaged_task<void()> task = std::move(tasks_.front());
-        tasks_.pop_front();
-        ++running_;
-        lk.unlock();
-        task(); // packaged_task stores any exception in the future
-        lk.lock();
-        if (--running_ == 0 && tasks_.empty())
-            idle_cv_.notify_all();
-    }
-}
-
 void
 parallelForRows(std::size_t n, std::size_t grain,
                 const std::function<void(std::size_t, std::size_t)> &fn)

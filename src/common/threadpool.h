@@ -20,13 +20,10 @@
  * when serial mode is forced, or inside an already-parallel region
  * (nested parallelism runs inline rather than deadlocking).
  *
- * TaskQueue adds the asynchronous counterpart: a FIFO of opaque
- * tasks drained by a small set of dedicated worker threads, for
- * callers (the serve/ scheduler's lanes) that need work *submitted*
- * rather than joined inline. Tasks may freely call parallelFor —
- * concurrent top-level calls serialize on the pool and interleave
- * between epochs, which is what lets stages of independent engine
- * runs overlap.
+ * Any number of threads may call parallelFor on one pool at once
+ * (the serve/ scheduler's lanes do): concurrent top-level calls
+ * serialize on the pool and interleave between calls, which is what
+ * lets the stages of independent engine runs overlap.
  *
  * Units: thread counts are participants (the calling thread plus
  * workers); n, grain, and chunk boundaries are rows (work items);
@@ -40,10 +37,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -186,54 +181,6 @@ class ThreadPool
     std::size_t grain_ = 1;  ///< this epoch's chunk size
     std::size_t chunks_ = 0; ///< this epoch's chunk count
     std::atomic<std::size_t> next_chunk_{0}; ///< next unclaimed chunk
-};
-
-/**
- * FIFO task queue drained by its own dedicated worker threads: the
- * asynchronous complement to ThreadPool::parallelFor. submit()
- * enqueues a task and returns immediately with a future; up to
- * `workers` tasks run concurrently, in submission order. A task's
- * exception is captured in its future (never lost, never fatal to
- * the queue). The destructor drains every submitted task before
- * joining, so work handed to a TaskQueue always completes.
- *
- * Tasks may call ThreadPool::parallelFor: each worker is a fresh
- * thread (not a pool worker), so the call takes the normal top-level
- * path and concurrent callers serialize per epoch on the pool.
- */
-class TaskQueue
-{
-  public:
-    /** Queue with @p workers dedicated threads (clamped to >= 1). */
-    explicit TaskQueue(int workers);
-    ~TaskQueue();
-
-    TaskQueue(const TaskQueue &) = delete;
-    TaskQueue &operator=(const TaskQueue &) = delete;
-
-    /** Enqueue @p task; the future resolves when it finishes (or
-     * rethrows what the task threw). */
-    std::future<void> submit(std::function<void()> task);
-
-    /** Block until every task submitted so far has finished. */
-    void wait();
-
-    int workers() const { return nworkers_; }
-    /** Tasks queued but not yet started. */
-    std::size_t pending() const;
-
-  private:
-    void workerLoop();
-
-    const int nworkers_;
-    std::vector<std::thread> threads_;
-
-    mutable std::mutex m_;
-    std::condition_variable work_cv_; ///< workers wait for tasks
-    std::condition_variable idle_cv_; ///< wait()/dtor wait for drain
-    std::deque<std::packaged_task<void()>> tasks_;
-    int running_ = 0; ///< tasks currently executing
-    bool stop_ = false;
 };
 
 /**

@@ -1,7 +1,8 @@
 /**
  * @file
  * Bounded admission queue between Scheduler::submit and the
- * dispatcher, with pluggable batch-formation order (SchedulingPolicy):
+ * scheduler's lanes, with pluggable batch-formation order
+ * (SchedulingPolicy):
  *
  *  - FIFO (default): strict arrival order, bit-compatible with the
  *    original single-policy queue — the head of the line always
@@ -102,7 +103,7 @@ struct PendingRequest
     std::promise<RequestResult> promise;
     std::chrono::steady_clock::time_point submitted;
     /** Absolute deadline, resolved by the scheduler at submit()
-     * (EDF's sort key; also the timeout the dispatcher enforces). */
+     * (EDF's sort key; also the timeout the lanes enforce). */
     bool hasDeadline = false;
     std::chrono::steady_clock::time_point deadline{};
     /** Arrival order, assigned at push — FIFO order and every
@@ -160,7 +161,8 @@ class RequestQueue
      * remaining head-task and context-token budgets. Returns an
      * empty batch only once the queue is closed, drained, *and* no
      * popped request is still unresolved (finishPopped/pushReadmit
-     * retire them).
+     * retire them). Several lanes may wait here at once; each
+     * request goes to exactly one of them.
      */
     std::vector<PendingRequest> popBatch(std::int64_t head_budget,
                                          std::int64_t token_budget);

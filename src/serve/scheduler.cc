@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/threadpool.h"
 
 namespace sofa {
 namespace serve {
@@ -145,6 +144,13 @@ sleepSeconds(double s)
         std::this_thread::sleep_for(std::chrono::duration<double>(s));
 }
 
+/** The query row a chunked prefill's next chunk ends at. */
+int
+chunkEnd(const ChunkState &cs, int chunk_rows)
+{
+    return std::min(cs.work.spec.queryRows(), cs.rowsDone + chunk_rows);
+}
+
 } // namespace
 
 double
@@ -184,6 +190,7 @@ struct Scheduler::Slot
     /** The slot's task indices in the current BackendRun. */
     std::vector<std::size_t> taskIdx;
     int attempts = 0;     ///< engine runs consumed so far
+    int failures = 0;     ///< engine runs that failed (retry budget)
     bool timedOut = false; ///< deadline expired during the run
     bool resolved = false; ///< promise satisfied
     bool readmitted = false; ///< chunk continuation re-enqueued
@@ -192,21 +199,18 @@ struct Scheduler::Slot
 };
 
 /** One fleet shard: a backend with its own admission queue, lane
- * TaskQueue, dispatcher thread and (decode-capable backends only)
- * KV pool. Counters are guarded by Scheduler::m_. */
+ * threads and (decode-capable backends only) KV pool. Counters are
+ * guarded by Scheduler::m_. */
 struct Scheduler::Shard
 {
-    int index = 0;
     std::shared_ptr<Backend> backend;
     BackendCapabilities caps;
     std::unique_ptr<KvPool> pool;
     std::unique_ptr<RequestQueue> queue;
-    std::unique_ptr<TaskQueue> lanes;
-    int inFlight = 0;           ///< batches dispatched, unfinished
     std::int64_t routed = 0;    ///< placement decisions
     std::int64_t batches = 0;   ///< runs formed on this shard
     std::int64_t headTasks = 0; ///< head tasks of finished runs
-    std::thread dispatcher;
+    std::vector<std::thread> lanes; ///< each runs laneLoop
 };
 
 Scheduler::Scheduler(SchedulerConfig cfg)
@@ -231,11 +235,10 @@ Scheduler::Scheduler(SchedulerConfig cfg)
             std::make_shared<EngineBackend>(std::move(ec)));
     }
     shards_.reserve(fleet.size());
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
+    for (const std::shared_ptr<Backend> &backend : fleet) {
         auto sh = std::make_unique<Shard>();
-        sh->index = static_cast<int>(i);
-        sh->backend = fleet[i];
-        sh->caps = fleet[i]->capabilities();
+        sh->backend = backend;
+        sh->caps = backend->capabilities();
         // KV pools live on the decode-capable ("KV-cache-warm")
         // shards; prefill-only backends run pool-less (their
         // requests never carry a cached pastLen).
@@ -244,28 +247,34 @@ Scheduler::Scheduler(SchedulerConfig cfg)
         sh->queue = std::make_unique<RequestQueue>(
             cfg_.maxQueue, cfg_.policy, cfg_.drrQuantumHeads,
             cfg_.prefillChunkRows);
-        sh->lanes = std::make_unique<TaskQueue>(cfg_.lanes);
         shards_.push_back(std::move(sh));
     }
-    for (auto &sh : shards_)
-        sh->dispatcher = std::thread(
-            [this, s = sh.get()] { dispatchLoop(*s); });
+    try {
+        for (auto &sh : shards_)
+            for (int l = 0; l < std::max(1, cfg_.lanes); ++l)
+                sh->lanes.emplace_back(
+                    [this, s = sh.get()] { laneLoop(*s); });
+    } catch (...) {
+        stopLanes(); // a lane that started must not outlive *this
+        throw;
+    }
 }
 
 Scheduler::~Scheduler()
 {
+    stopLanes();
+}
+
+void
+Scheduler::stopLanes()
+{
     start();
     for (auto &sh : shards_)
         sh->queue->close();
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        closing_ = true;
-    }
-    cv_.notify_all();
+    // Each lane drains its queue before it returns.
     for (auto &sh : shards_)
-        sh->dispatcher.join();
-    for (auto &sh : shards_)
-        sh->lanes.reset(); // drains the in-flight batches
+        for (std::thread &lane : sh->lanes)
+            lane.join();
 }
 
 const KvPool &
@@ -317,8 +326,7 @@ Scheduler::submit(Request r)
     p.request = std::move(r);
     p.submitted = Clock::now();
     // Resolve the absolute deadline here, where EDF needs it as the
-    // queue's sort key — the same value the dispatcher previously
-    // derived at batch formation (both measure from p.submitted).
+    // queue's sort key; the lanes enforce the same value.
     const double dl = deadlineSecondsOf(p.request, cfg_);
     if (dl > 0.0) {
         p.hasDeadline = true;
@@ -452,45 +460,28 @@ Scheduler::backendStats() const
 }
 
 void
-Scheduler::dispatchLoop(Shard &shard)
+Scheduler::laneLoop(Shard &shard)
 {
+    {
+        std::unique_lock<std::mutex> lk(m_);
+        cv_.wait(lk, [&] { return started_; });
+    }
+    // The lane forms its next batch only once it is free (continuous
+    // batching: every request that arrived while the shard's lanes
+    // were busy merges into that batch). The closed queue returns an
+    // empty batch once every admitted request has resolved.
     for (;;) {
-        {
-            // A batch is formed only when a shard lane is free
-            // (continuous batching: every request that arrived while
-            // the lanes were busy merges into the next batch). When
-            // closing, drain unconditionally — queued promises must
-            // resolve.
-            std::unique_lock<std::mutex> lk(m_);
-            cv_.wait(lk, [&] {
-                return closing_ ||
-                       (started_ &&
-                        shard.inFlight < shard.lanes->workers());
-            });
-        }
         std::vector<PendingRequest> batch =
             shard.queue->popBatch(cfg_.headBudget,
                                   cfg_.tokenBudget);
         if (batch.empty())
-            return; // queue closed and drained
+            return;
         {
             std::lock_guard<std::mutex> lk(m_);
             ++batches_;
             ++shard.batches;
-            ++shard.inFlight;
         }
-        // PendingRequest holds a promise (move-only); std::function
-        // needs a copyable callable, so the batch rides shared_ptr.
-        auto shared = std::make_shared<std::vector<PendingRequest>>(
-            std::move(batch));
-        shard.lanes->submit([this, &shard, shared] {
-            runBatch(shard, std::move(*shared));
-            {
-                std::lock_guard<std::mutex> lk(m_);
-                --shard.inFlight;
-            }
-            cv_.notify_all();
-        });
+        runBatch(shard, std::move(batch));
     }
 }
 
@@ -553,7 +544,7 @@ Scheduler::resolveSlot(Shard &shard, Slot &slot, Outcome outcome,
 
 bool
 Scheduler::stepWithFaults(BackendRun &run,
-                          std::vector<Slot *> &slots)
+                          const std::vector<Slot *> &slots)
 {
     while (!run.done()) {
         const char *stage = run.nextStageName();
@@ -591,71 +582,198 @@ Scheduler::stepWithFaults(BackendRun &run,
     return true;
 }
 
+double
+Scheduler::keepFracOf(RunKind kind) const
+{
+    // The keep-span ratio a run records in degradeKeepFrac.
+    return kind == RunKind::Degraded
+               ? degradedEngineConfig(cfg_).pipeline.topkFrac /
+                     cfg_.engine.pipeline.topkFrac
+               : 1.0;
+}
+
+ModelWorkload
+Scheduler::nextChunk(Slot &slot) const
+{
+    // The full workload is generated for the first chunk and rides
+    // the ChunkState between dispatches.
+    if (!slot.p.chunk) {
+        slot.p.chunk = std::make_shared<ChunkState>();
+        slot.p.chunk->work = generateModelWorkload(slot.p.request.work);
+    }
+    const ChunkState &cs = *slot.p.chunk;
+    // Chunk runs are this request's engine attempts: the fault plan's
+    // attempt index advances with them so injections stay
+    // per-dispatch.
+    slot.attempts = cs.runs;
+    const int r1 = chunkEnd(cs, cfg_.prefillChunkRows);
+    ModelWorkload rows{cs.work.spec, {}};
+    rows.spec.queries = r1 - cs.rowsDone;
+    for (const AttentionWorkload &w : cs.work.grid)
+        rows.grid.push_back(sliceQueryRows(w, cs.rowsDone, r1));
+    return rows;
+}
+
+bool
+Scheduler::runSlots(Shard &shard, const std::vector<Slot *> &slots,
+                    RunKind kind, std::string *error)
+{
+    // Materialize each request's workload (deterministic in its own
+    // seed), then merge every head onto one grid. In a merged run a
+    // chunked prefill contributes only its next query-row chunk.
+    std::vector<ModelWorkload> works;
+    works.reserve(slots.size()); // the tasks point into it
+    std::vector<HeadTask> tasks;
+    for (Slot *s : slots) {
+        const bool chunk =
+            kind == RunKind::Merged &&
+            prefillChunks(s->p.request, cfg_.prefillChunkRows);
+        works.push_back(chunk ? nextChunk(*s)
+                              : generateModelWorkload(s->p.request.work));
+        const std::size_t first = tasks.size();
+        appendHeadTasks(works.back(), s->kvCold, &tasks);
+        s->taskIdx.clear();
+        for (std::size_t t = first; t < tasks.size(); ++t)
+            s->taskIdx.push_back(t);
+    }
+    const int coscheduled = static_cast<int>(tasks.size());
+    try {
+        // Each stage is a separate pool epoch, so concurrent lanes
+        // interleave between stages; the per-stage seam is also where
+        // faults inject and deadlines cancel.
+        auto run = shard.backend->begin(
+            std::move(tasks),
+            kind == RunKind::Degraded ? cfg_.degradeKeepFactor : 1.0);
+        const bool ran = stepWithFaults(*run, slots);
+        for (Slot *s : slots)
+            ++s->attempts;
+        EngineResult res;
+        if (ran) {
+            res = run->finish();
+            // Count executed work before any promise resolves, so a
+            // caller observing its future sees consistent stats.
+            std::lock_guard<std::mutex> lk(m_);
+            headTasks_ += coscheduled;
+            shard.headTasks += coscheduled;
+        }
+        settleSlots(shard, slots, kind, ran, res, coscheduled);
+        return true;
+    } catch (const std::exception &e) {
+        // The aborted run was a failed attempt of every slot in it;
+        // the caller retries the live ones.
+        for (Slot *s : slots) {
+            ++s->attempts;
+            ++s->failures;
+            if (s->timedOut && !s->resolved)
+                resolveSlot(shard, *s, Outcome::TimedOut,
+                            EngineResult{}, keepFracOf(kind),
+                            coscheduled, std::string());
+        }
+        *error = e.what();
+        return false;
+    }
+}
+
 void
-Scheduler::runSoloWithRetry(Shard &shard, Slot &slot,
-                            double keep_factor, Outcome success,
-                            double keep_frac,
+Scheduler::settleSlots(Shard &shard, const std::vector<Slot *> &slots,
+                       RunKind kind, bool ran, EngineResult &res,
+                       int coscheduled)
+{
+    const Outcome success = kind == RunKind::Degraded
+                                ? Outcome::Degraded
+                                : Outcome::Completed;
+    for (Slot *s : slots) {
+        if (!ran || s->timedOut) {
+            // Cancelled mid-run: the partial work, a chunked
+            // prefill's banked rows included, is discarded.
+            resolveSlot(shard, *s, Outcome::TimedOut, EngineResult{},
+                        keepFracOf(kind), coscheduled, std::string());
+            continue;
+        }
+        // Split the co-scheduled heads back per request, in task
+        // order, so each aggregate matches a standalone Engine::run;
+        // a chunk run appends its heads to the banked ones.
+        std::vector<HeadResult> heads;
+        std::vector<HeadResult> &into =
+            s->p.chunk ? s->p.chunk->heads : heads;
+        for (std::size_t t : s->taskIdx)
+            into.push_back(std::move(res.heads[t]));
+        if (s->p.chunk)
+            bankChunk(shard, *s, coscheduled);
+        else
+            resolveSlot(shard, *s, success,
+                        aggregateHeadResults(std::move(heads)),
+                        keepFracOf(kind), coscheduled, std::string());
+    }
+}
+
+void
+Scheduler::bankChunk(Shard &shard, Slot &slot, int coscheduled)
+{
+    ChunkState &cs = *slot.p.chunk;
+    cs.rowsDone = chunkEnd(cs, cfg_.prefillChunkRows);
+    cs.runs = slot.attempts;
+    {
+        std::lock_guard<std::mutex> lk(m_);
+        ++chunkRuns_;
+    }
+    if (cs.rowsDone < cs.work.spec.queryRows()) {
+        // Re-enqueue the continuation: decode batches preempt before
+        // the next chunk.
+        shard.pool->unpin(slot.p.request.id);
+        slot.readmitted = true;
+        shard.queue->pushReadmit(std::move(slot.p));
+        return;
+    }
+    slot.chunksDone = (cs.rowsDone + cfg_.prefillChunkRows - 1) /
+                      cfg_.prefillChunkRows;
+    resolveSlot(shard, slot, Outcome::Completed,
+                aggregateHeadResults(std::move(cs.heads)), 1.0,
+                coscheduled, std::string());
+}
+
+void
+Scheduler::runSoloWithRetry(Shard &shard, Slot &slot, RunKind kind,
                             std::string last_error)
 {
-    const int max_attempts = std::max(1, cfg_.retry.maxAttempts);
-    std::vector<Slot *> solo{&slot};
-    while (slot.attempts < max_attempts) {
-        if (slot.attempts > 0) {
+    const std::vector<Slot *> solo{&slot};
+    // The budget and the backoff count failed runs: the chunk runs a
+    // chunked prefill completed before it failed are engine attempts
+    // (the fault plan indexes them), not failures.
+    while (slot.failures < cfg_.retry.maxAttempts) {
+        if (slot.failures > 0) {
             {
                 std::lock_guard<std::mutex> lk(m_);
                 ++retried_;
             }
             sleepSeconds(retryBackoffSeconds(
-                cfg_.retry, slot.p.request.id, slot.attempts));
+                cfg_.retry, slot.p.request.id, slot.failures));
         }
         if (slot.p.hasDeadline && Clock::now() >= slot.p.deadline) {
             resolveSlot(shard, slot, Outcome::TimedOut,
-                        EngineResult{}, keep_frac, 0,
+                        EngineResult{}, keepFracOf(kind), 0,
                         std::string());
             return;
         }
+        // Solo run of the request's own tasks == a standalone
+        // Engine::run of its spec, so the bit-exactness contract
+        // holds on the recovery and degraded paths.
         try {
-            const ModelWorkload mw =
-                generateModelWorkload(slot.p.request.work);
-            std::vector<HeadTask> tasks;
-            appendHeadTasks(mw, slot.kvCold, &tasks);
-            const int n = static_cast<int>(tasks.size());
-            slot.taskIdx.resize(tasks.size());
-            for (std::size_t t = 0; t < tasks.size(); ++t)
-                slot.taskIdx[t] = t;
-            slot.timedOut = false;
-            auto run =
-                shard.backend->begin(std::move(tasks), keep_factor);
-            const bool ran = stepWithFaults(*run, solo);
-            ++slot.attempts;
-            if (slot.timedOut || !ran) {
-                resolveSlot(shard, slot, Outcome::TimedOut,
-                            EngineResult{}, keep_frac, n,
-                            std::string());
+            if (runSlots(shard, solo, kind, &last_error))
                 return;
-            }
-            EngineResult res = run->finish();
-            {
-                std::lock_guard<std::mutex> lk(m_);
-                headTasks_ += n;
-                shard.headTasks += n;
-            }
-            // Solo run of the request's own tasks == a standalone
-            // Engine::run of its spec, so the bit-exactness
-            // contract holds on the recovery and degraded paths.
-            resolveSlot(shard, slot, success, std::move(res),
-                        keep_frac, n, std::string());
-            return;
+            continue; // runSlots counted the failed run
         } catch (const std::exception &e) {
-            ++slot.attempts;
             last_error = e.what();
         } catch (...) {
-            ++slot.attempts;
             last_error = "unknown engine failure";
         }
+        // A failure runSlots let through: workload generation, or an
+        // engine exception not derived from std::exception.
+        ++slot.attempts;
+        ++slot.failures;
     }
     resolveSlot(shard, slot, Outcome::Failed, EngineResult{},
-                keep_frac, 0, std::move(last_error));
+                keepFracOf(kind), 0, std::move(last_error));
 }
 
 void
@@ -682,259 +800,88 @@ Scheduler::preparePoolPin(Shard &shard, Slot &slot)
 }
 
 void
-Scheduler::runBatch(Shard &shard, std::vector<PendingRequest> batch)
+Scheduler::runBatch(Shard &shard,
+                    std::vector<PendingRequest> batch) noexcept
 {
     const Clock::time_point t0 = Clock::now();
     std::vector<Slot> slots(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        Slot &s = slots[i];
-        s.p = std::move(batch[i]);
-        s.t0 = t0;
+        slots[i].p = std::move(batch[i]);
+        slots[i].t0 = t0;
     }
-    // Whether a prefill splits into query-row chunks this dispatch.
-    const auto chunkable = [this](const Request &r) {
-        return cfg_.prefillChunkRows > 0 && !r.work.isDecode() &&
-               r.work.queryRows() > cfg_.prefillChunkRows;
-    };
+    std::string failure; // caught below; fails every pending slot
     try {
         // Pre-dispatch triage: already-expired deadlines resolve
         // TimedOut without consuming an engine run; requests queued
         // past the overload threshold take the degraded path; the
         // rest merge into one engine run.
-        std::vector<Slot *> merged_slots;
-        std::vector<Slot *> degrade_slots;
+        std::vector<Slot *> merged, degraded;
         for (Slot &s : slots) {
-            if (s.p.hasDeadline && t0 >= s.p.deadline) {
+            if (s.p.hasDeadline && t0 >= s.p.deadline)
                 resolveSlot(shard, s, Outcome::TimedOut,
                             EngineResult{}, 1.0, 0, std::string());
-            } else if (cfg_.degradeAfterSeconds > 0.0 &&
-                       seconds(s.p.submitted, t0) >
-                           cfg_.degradeAfterSeconds) {
-                degrade_slots.push_back(&s);
-            } else {
-                merged_slots.push_back(&s);
-            }
+            else if (cfg_.degradeAfterSeconds > 0.0 &&
+                     seconds(s.p.submitted, t0) >
+                         cfg_.degradeAfterSeconds)
+                degraded.push_back(&s);
+            else
+                merged.push_back(&s);
         }
-
         // Degraded requests run solo at the cheaper keep factor,
         // first — they have already waited past the overload
         // threshold. Degradation supersedes chunking: a half-chunked
         // prefill that waited this long reruns whole and cheap.
-        const double keep_frac =
-            degradedEngineConfig(cfg_).pipeline.topkFrac /
-            cfg_.engine.pipeline.topkFrac;
-        for (Slot *s : degrade_slots) {
+        for (Slot *s : degraded) {
             s->p.chunk.reset();
             preparePoolPin(shard, *s);
-            runSoloWithRetry(shard, *s, cfg_.degradeKeepFactor,
-                             Outcome::Degraded, keep_frac,
+            runSoloWithRetry(shard, *s, RunKind::Degraded,
                              std::string());
         }
-
-        if (!merged_slots.empty()) {
-            // Materialize each request's workload (deterministic in
-            // its own seed), then merge every head onto one grid.
-            // Chunked prefills contribute only their next query-row
-            // chunk; their full workload is materialized once and
-            // rides the ChunkState between dispatches.
-            std::vector<ModelWorkload> works;
-            works.reserve(merged_slots.size());
-            std::deque<std::vector<AttentionWorkload>> chunk_scratch;
-            std::vector<int> chunk_upto(merged_slots.size(), 0);
-
-            std::vector<HeadTask> tasks;
-            std::vector<std::size_t> owner; // task -> slot index
-            for (std::size_t r = 0; r < merged_slots.size(); ++r) {
-                Slot *s = merged_slots[r];
-                preparePoolPin(shard, *s);
-                const std::size_t first = tasks.size();
-                if (chunkable(s->p.request)) {
-                    if (!s->p.chunk) {
-                        s->p.chunk = std::make_shared<ChunkState>();
-                        s->p.chunk->work = generateModelWorkload(
-                            s->p.request.work);
-                    }
-                    ChunkState &cs = *s->p.chunk;
-                    // Chunk runs are this request's engine attempts:
-                    // the fault plan's attempt index advances with
-                    // them so injections stay per-dispatch.
-                    s->attempts = cs.runs;
-                    const int total = cs.work.spec.queryRows();
-                    const int r0 = cs.rowsDone;
-                    const int r1 = std::min(
-                        total, r0 + cfg_.prefillChunkRows);
-                    chunk_upto[r] = r1;
-                    chunk_scratch.emplace_back();
-                    std::vector<AttentionWorkload> &sl =
-                        chunk_scratch.back();
-                    sl.reserve(cs.work.size());
-                    for (int b = 0; b < cs.work.batch(); ++b)
-                        for (int h = 0; h < cs.work.heads(); ++h)
-                            sl.push_back(sliceQueryRows(
-                                cs.work.head(b, h), r0, r1));
-                    std::size_t i = 0;
-                    for (int b = 0; b < cs.work.batch(); ++b) {
-                        for (int h = 0; h < cs.work.heads(); ++h) {
-                            HeadTask t;
-                            t.workload = &sl[i++];
-                            t.batch = b;
-                            t.head = h;
-                            t.pastLen = 0;
-                            tasks.push_back(t);
-                        }
-                    }
-                } else {
-                    works.push_back(
-                        generateModelWorkload(s->p.request.work));
-                    appendHeadTasks(works.back(), s->kvCold,
-                                    &tasks);
-                }
-                for (std::size_t t = first; t < tasks.size(); ++t) {
-                    owner.push_back(r);
-                    s->taskIdx.push_back(t);
-                }
-            }
-            const int coscheduled = static_cast<int>(tasks.size());
-
-            try {
-                // Each stage is a separate pool epoch, so concurrent
-                // lanes interleave between stages; the per-stage seam
-                // is also where faults inject and deadlines cancel.
-                auto run = shard.backend->begin(std::move(tasks));
-                const bool ran = stepWithFaults(*run, merged_slots);
-                for (Slot *s : merged_slots)
-                    ++s->attempts; // the merged run was attempt 0
-                if (ran) {
-                    EngineResult merged = run->finish();
-                    // Count executed work before any promise
-                    // resolves, so a caller observing its future
-                    // sees consistent stats.
-                    {
-                        std::lock_guard<std::mutex> lk(m_);
-                        headTasks_ += coscheduled;
-                        shard.headTasks += coscheduled;
-                    }
-                    // Split the co-scheduled heads back per request,
-                    // in task order, so each aggregate matches a
-                    // standalone Engine::run.
-                    std::vector<std::vector<HeadResult>> per_req(
-                        merged_slots.size());
-                    for (std::size_t i = 0; i < merged.heads.size();
-                         ++i) {
-                        if (!merged_slots[owner[i]]->timedOut)
-                            per_req[owner[i]].push_back(
-                                std::move(merged.heads[i]));
-                    }
-                    for (std::size_t r = 0; r < merged_slots.size();
-                         ++r) {
-                        Slot *s = merged_slots[r];
-                        if (s->timedOut) {
-                            // A chunked prefill's partial rows are
-                            // discarded with the rest.
-                            resolveSlot(shard, *s, Outcome::TimedOut,
-                                        EngineResult{}, 1.0,
-                                        coscheduled, std::string());
-                        } else if (s->p.chunk && chunk_upto[r] > 0) {
-                            // Bank this chunk's head results; either
-                            // re-enqueue the continuation (decode
-                            // batches preempt before the next chunk)
-                            // or stitch the final aggregate.
-                            ChunkState &cs = *s->p.chunk;
-                            for (HeadResult &hr : per_req[r])
-                                cs.heads.push_back(std::move(hr));
-                            cs.rowsDone = chunk_upto[r];
-                            cs.runs = s->attempts;
-                            {
-                                std::lock_guard<std::mutex> lk(m_);
-                                ++chunkRuns_;
-                            }
-                            if (cs.rowsDone <
-                                cs.work.spec.queryRows()) {
-                                shard.pool->unpin(s->p.request.id);
-                                s->taskIdx.clear();
-                                s->readmitted = true;
-                                shard.queue->pushReadmit(
-                                    std::move(s->p));
-                            } else {
-                                s->chunksDone =
-                                    (cs.rowsDone +
-                                     cfg_.prefillChunkRows - 1) /
-                                    cfg_.prefillChunkRows;
-                                resolveSlot(
-                                    shard, *s, Outcome::Completed,
-                                    aggregateHeadResults(
-                                        std::move(cs.heads)),
-                                    1.0, coscheduled,
-                                    std::string());
-                            }
-                        } else {
-                            resolveSlot(shard, *s,
-                                        Outcome::Completed,
-                                        aggregateHeadResults(
-                                            std::move(per_req[r])),
-                                        1.0, coscheduled,
-                                        std::string());
-                        }
-                    }
-                } else {
-                    // Every merged request timed out mid-run; the
-                    // partial work was cancelled and is discarded.
-                    for (Slot *s : merged_slots)
-                        resolveSlot(shard, *s, Outcome::TimedOut,
-                                    EngineResult{}, 1.0, coscheduled,
-                                    std::string());
-                }
-            } catch (const std::exception &e) {
-                // Engine failure (injected or real): abandon the
-                // merged run; every still-live request recovers with
-                // solo retries so one bad request cannot poison its
-                // batch neighbours. This path is counted (failed_/
-                // retried_) and the futures still resolve normally.
-                for (Slot *s : merged_slots)
-                    ++s->attempts; // the aborted run was attempt 0
-                for (Slot *s : merged_slots) {
-                    if (s->resolved)
-                        continue;
-                    if (s->timedOut) {
-                        resolveSlot(shard, *s, Outcome::TimedOut,
-                                    EngineResult{}, 1.0, coscheduled,
-                                    std::string());
-                        continue;
-                    }
-                    s->taskIdx.clear();
-                    // Recovery reruns a chunked prefill whole: its
-                    // banked partial rows are discarded with the
-                    // poisoned run.
-                    s->p.chunk.reset();
-                    runSoloWithRetry(shard, *s, 1.0,
-                                     Outcome::Completed, 1.0,
-                                     e.what());
-                }
+        for (Slot *s : merged)
+            preparePoolPin(shard, *s);
+        std::string error;
+        if (!merged.empty() &&
+            !runSlots(shard, merged, RunKind::Merged, &error)) {
+            // Engine failure (injected or real): the merged run is
+            // abandoned and every still-live request recovers with
+            // solo retries, so one bad request cannot poison its
+            // batch neighbours. A chunked prefill reruns whole: its
+            // banked rows are discarded with the poisoned run.
+            for (Slot *s : merged) {
+                if (s->resolved || s->readmitted)
+                    continue;
+                s->p.chunk.reset();
+                runSoloWithRetry(shard, *s, RunKind::Solo, error);
             }
         }
     } catch (const std::exception &e) {
-        // Last-resort safety net (e.g. workload generation failed):
-        // resolve every still-pending promise as Failed — futures
-        // never carry exceptions and failures are always accounted.
-        for (Slot &s : slots)
-            if (!s.resolved && !s.readmitted)
-                resolveSlot(shard, s, Outcome::Failed,
-                            EngineResult{}, 1.0, 0, e.what());
+        failure = e.what();
     } catch (...) {
-        for (Slot &s : slots)
-            if (!s.resolved && !s.readmitted)
-                resolveSlot(shard, s, Outcome::Failed,
-                            EngineResult{}, 1.0, 0,
-                            "unknown scheduler failure");
+        failure = "unknown scheduler failure";
     }
+    finishBatch(shard, slots, failure);
+}
+
+void
+Scheduler::finishBatch(Shard &shard, std::vector<Slot> &slots,
+                       const std::string &failure)
+{
     // Readmitted chunk continuations are still outstanding (their
-    // promise travels back through the queue); everything else
-    // resolved above.
+    // promise travels back through the queue). Every other slot
+    // resolves here at the latest: one still pending after a failure
+    // runBatch caught (e.g. workload generation failed) resolves
+    // Failed, so futures never carry exceptions and failures are
+    // always accounted.
     std::size_t readmits = 0, chunk_finished = 0;
-    for (const Slot &s : slots) {
-        if (s.readmitted)
+    for (Slot &s : slots) {
+        if (s.readmitted) {
             ++readmits;
-        else if (prefillChunks(s.p.request, cfg_.prefillChunkRows))
+            continue;
+        }
+        if (!s.resolved)
+            resolveSlot(shard, s, Outcome::Failed, EngineResult{}, 1.0,
+                        0, failure);
+        if (prefillChunks(s.p.request, cfg_.prefillChunkRows))
             ++chunk_finished; // popped with a readmit obligation
     }
     {

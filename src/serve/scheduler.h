@@ -5,11 +5,11 @@
  * decode, mixed — run through one engine concurrently. The pipeline
  * is admission (bounded queue, explicit shedding) -> continuous
  * batch formation (front-contiguous requests merged up to head-task
- * and context-token budgets, formed only when a lane frees up so
- * late arrivals can still join) -> lane dispatch (a common/
- * threadpool TaskQueue runs up to `lanes` engine runs concurrently,
- * each stepping its EngineRun stage by stage, so one request's SU-FA
- * overlaps another's SADS on the shared pool).
+ * and context-token budgets) -> lanes (`lanes` threads per shard,
+ * each popping its next batch only when it is free, so late arrivals
+ * can still join, and stepping that batch's EngineRun stage by
+ * stage, so one request's SU-FA overlaps another's SADS on the
+ * shared pool).
  *
  * Determinism contract: an identical request trace + seed yields
  * identical per-request *numerical* results (outputs, selections,
@@ -37,7 +37,7 @@
  * each on its own thread pool or a shared one, serving prefill,
  * decode or both. Each backend gets a shard: its own admission
  * queue, KV pool (decode-capable backends only — the "KV-cache-warm"
- * class), lane TaskQueue and dispatcher. Requests are placed on a
+ * class) and lane threads. Requests are placed on a
  * shard at admission by the RoutingPolicy (round-robin default — one
  * implicit EngineBackend reproduces the single-engine scheduler
  * bit-exactly — least-queue-depth, or prefill/decode
@@ -50,10 +50,10 @@
  * cancel expired work cooperatively at EngineRun stage boundaries
  * (Outcome::TimedOut), failed engine runs are retried solo with
  * bounded exponential backoff + deterministic jitter
- * (Outcome::Failed only after the budget), and requests queued past
- * `degradeAfterSeconds` run on a cheaper engine config — reduced
- * SADS keep span — instead of waiting for full service
- * (Outcome::Degraded). Every failure path is reproducible through
+ * (Outcome::Failed only after the budget of failed runs), and
+ * requests queued past `degradeAfterSeconds` run on a cheaper engine
+ * config — reduced SADS keep span — instead of waiting for full
+ * service (Outcome::Degraded). Every failure path is reproducible through
  * the seeded common/faultplan injection hooks probed at each stage
  * boundary; see docs/SERVING.md for the fault model.
  *
@@ -80,22 +80,22 @@
 #include "serve/request_queue.h"
 
 namespace sofa {
-class TaskQueue;
-
 namespace serve {
 
 /**
  * Bounded-retry policy for transiently-failed engine runs. The
- * backoff before attempt N (N >= 1, 0-based) is
+ * backoff before the retry that follows N failed runs (N >= 1) is
  * baseSeconds * 2^(N-1), capped at maxSeconds, scaled by a
  * deterministic jitter factor in [1 - jitterFrac, 1 + jitterFrac)
- * hashed from (seed, request id, attempt) — no RNG stream, so the
+ * hashed from (seed, request id, N) — no RNG stream, so the
  * schedule replays bit-identically (see retryBackoffSeconds).
  */
 struct RetryPolicy
 {
-    /** Total engine-run attempts per request (first try included);
-     * Outcome::Failed only after all of them failed. */
+    /** Failed engine runs per request before Outcome::Failed (the
+     * first try included). Only failed runs count: the successful
+     * chunk runs of a chunked prefill spend none of the budget,
+     * although RequestResult.attempts counts them. */
     int maxAttempts = 3;
     /** Backoff before the first retry, in seconds. */
     double baseSeconds = 1e-3;
@@ -112,7 +112,9 @@ struct SchedulerConfig
 {
     /** Engine hyperparameters, rowTile and pool (core/engine.h). */
     EngineConfig engine;
-    /** Concurrent engine runs in flight (TaskQueue workers). */
+    /** Lane threads per shard (at least 1): each pops a batch when
+     * it is free and runs it, so this bounds a shard's concurrent
+     * engine runs. */
     int lanes = 2;
     /** Max head tasks merged into one engine run. */
     std::int64_t headBudget = 16;
@@ -183,8 +185,9 @@ struct SchedulerConfig
 };
 
 /**
- * The deterministic backoff before @p attempt (0-based; attempts
- * <= 0 return 0). Pure function of (policy, request, attempt).
+ * The deterministic backoff before the retry that follows @p attempt
+ * failed runs (<= 0 returns 0). Pure function of (policy, request,
+ * attempt).
  */
 double retryBackoffSeconds(const RetryPolicy &policy,
                            std::uint64_t request, int attempt);
@@ -294,19 +297,36 @@ class Scheduler
   private:
     struct Slot;  // per-request in-flight state (scheduler.cc)
     struct Shard; // per-backend queue/lanes/pool (scheduler.cc)
+    /** The three ways an engine run serves its slots: a merged batch
+     * (prefills past prefillChunkRows run their next chunk), a solo
+     * retry, or a solo run on the degraded engine. */
+    enum class RunKind { Merged, Solo, Degraded };
 
     int routeLocked(const Request &r); // under m_
-    void dispatchLoop(Shard &shard);
-    void runBatch(Shard &shard, std::vector<PendingRequest> batch);
+    void laneLoop(Shard &shard);
+    void stopLanes();
+    /** Serve one popped batch. Every failure resolves a future, so
+     * nothing is left to throw at the lane. */
+    void runBatch(Shard &shard,
+                  std::vector<PendingRequest> batch) noexcept;
+    bool runSlots(Shard &shard, const std::vector<Slot *> &slots,
+                  RunKind kind, std::string *error);
+    ModelWorkload nextChunk(Slot &slot) const;
     bool stepWithFaults(BackendRun &run,
-                        std::vector<Slot *> &slots);
-    void runSoloWithRetry(Shard &shard, Slot &slot,
-                          double keep_factor, Outcome success,
-                          double keep_frac, std::string last_error);
+                        const std::vector<Slot *> &slots);
+    void settleSlots(Shard &shard, const std::vector<Slot *> &slots,
+                     RunKind kind, bool ran, EngineResult &res,
+                     int coscheduled);
+    void bankChunk(Shard &shard, Slot &slot, int coscheduled);
+    void runSoloWithRetry(Shard &shard, Slot &slot, RunKind kind,
+                          std::string last_error);
     void resolveSlot(Shard &shard, Slot &slot, Outcome outcome,
                      EngineResult engine, double keep_frac,
                      int coscheduled, std::string error);
     void preparePoolPin(Shard &shard, Slot &slot);
+    void finishBatch(Shard &shard, std::vector<Slot> &slots,
+                     const std::string &failure);
+    double keepFracOf(RunKind kind) const;
 
     SchedulerConfig cfg_;
     FaultPlan faults_; ///< cfg_.faults, else SOFA_FAULTS
@@ -315,7 +335,6 @@ class Scheduler
     mutable std::mutex m_;
     std::condition_variable cv_;
     bool started_ = false;
-    bool closing_ = false;
     std::uint64_t rrCounter_ = 0;  ///< round-robin admission index
     std::int64_t outstanding_ = 0; ///< admitted, not yet completed
     std::int64_t submitted_ = 0;

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <future>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -241,96 +240,29 @@ TEST(ThreadPool, ZeroRowsIsANoop)
     EXPECT_EQ(calls, 0);
 }
 
-TEST(TaskQueue, RunsEverySubmittedTask)
+TEST(ThreadPool, ConcurrentTopLevelCallersShareOnePool)
 {
-    TaskQueue q(3);
-    EXPECT_EQ(q.workers(), 3);
-    std::atomic<int> done{0};
-    std::vector<std::future<void>> futs;
-    for (int i = 0; i < 20; ++i)
-        futs.push_back(q.submit([&done] { ++done; }));
-    q.wait();
-    EXPECT_EQ(done.load(), 20);
-    EXPECT_EQ(q.pending(), 0u);
-    for (auto &f : futs)
-        f.get(); // no exceptions stored
-}
-
-TEST(TaskQueue, ExceptionIsCapturedInTheFuture)
-{
-    TaskQueue q(2);
-    struct TaskError
-    {
-    };
-    std::future<void> bad =
-        q.submit([] { throw TaskError{}; });
-    std::atomic<int> ok{0};
-    std::future<void> good = q.submit([&ok] { ++ok; });
-    EXPECT_THROW(bad.get(), TaskError);
-    good.get(); // the queue survives a throwing task
-    EXPECT_EQ(ok.load(), 1);
-}
-
-TEST(TaskQueue, ConcurrencyNeverExceedsWorkers)
-{
-    TaskQueue q(2);
-    std::atomic<int> running{0}, high{0};
-    std::vector<std::future<void>> futs;
-    for (int i = 0; i < 8; ++i)
-        futs.push_back(q.submit([&] {
-            const int now = ++running;
-            int seen = high.load();
-            while (now > seen &&
-                   !high.compare_exchange_weak(seen, now)) {
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(2));
-            --running;
-        }));
-    q.wait();
-    EXPECT_LE(high.load(), 2);
-    EXPECT_GE(high.load(), 1);
-}
-
-TEST(TaskQueue, TasksMayUseParallelFor)
-{
-    // The serve scheduler's pattern: asynchronous tasks that each
-    // run a pool-chunked computation. Concurrent top-level
-    // parallelFor calls serialize per epoch and stay correct.
+    // The serve scheduler's pattern: several threads (its lanes)
+    // each run pool-chunked work on one pool at the same time.
+    // Concurrent top-level parallelFor calls serialize per call and
+    // each still covers its own grid exactly.
     ThreadPool pool(4);
-    TaskQueue q(2);
     std::vector<std::vector<int>> out(4, std::vector<int>(100, 0));
-    std::vector<std::future<void>> futs;
+    std::vector<std::thread> callers;
     for (int t = 0; t < 4; ++t)
-        futs.push_back(q.submit([&pool, &out, t] {
-            pool.parallelFor(100, 1,
-                             [&out, t](std::size_t b, std::size_t e,
-                                       int) {
-                                 for (std::size_t i = b; i < e; ++i)
-                                     out[static_cast<std::size_t>(
-                                         t)][i] = t + 1;
-                             });
-        }));
-    for (auto &f : futs)
-        f.get();
+        callers.emplace_back([&pool, &out, t] {
+            for (int rep = 0; rep < 25; ++rep)
+                pool.parallelFor(
+                    100, 1, [&out, t](std::size_t b, std::size_t e, int) {
+                        for (std::size_t i = b; i < e; ++i)
+                            ++out[static_cast<std::size_t>(t)][i];
+                    });
+        });
+    for (std::thread &c : callers)
+        c.join();
     for (int t = 0; t < 4; ++t)
         for (int v : out[static_cast<std::size_t>(t)])
-            ASSERT_EQ(v, t + 1);
-}
-
-TEST(TaskQueue, DestructorDrainsPendingTasks)
-{
-    std::atomic<int> done{0};
-    {
-        TaskQueue q(1);
-        for (int i = 0; i < 5; ++i)
-            q.submit([&done] {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-                ++done;
-            });
-    } // dtor waits for all five
-    EXPECT_EQ(done.load(), 5);
+            ASSERT_EQ(v, 25);
 }
 
 // The chunk-claiming contract of parallelFor: the grid of

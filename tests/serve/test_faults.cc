@@ -353,6 +353,91 @@ TEST(Faults, DegradedUnderQueueDelay)
     EXPECT_EQ(st.failed, 0);
 }
 
+TEST(Faults, SuccessfulChunkRunsSpendNoRetryBudget)
+{
+    // Four 2-row chunks: runs 0-2 bank their rows, run 3 fails. The
+    // three successful chunk runs are engine attempts (the fault
+    // plan indexes them) but not failures, so the prefill still gets
+    // its retries and recovers by rerunning whole, solo.
+    SchedulerConfig cfg =
+        faultConfig("fail:req=0:stage=sufa_attention:attempt=3");
+    cfg.prefillChunkRows = 2;
+    Scheduler sched(cfg);
+    const auto trace = mixedMiniTrace(1);
+    const auto results = runPaused(sched, trace);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].outcome, Outcome::Completed);
+    EXPECT_EQ(results[0].attempts, 5); // 4 chunk runs + 1 solo rerun
+    EXPECT_EQ(results[0].chunks, 1);
+    expectMatchesStandalone(results[0], trace[0], cfg.engine);
+    const SchedulerStats st = sched.stats();
+    EXPECT_EQ(st.retried, 1);
+    EXPECT_EQ(st.chunkRuns, 3);
+    EXPECT_EQ(st.failed, 0);
+}
+
+TEST(Faults, FailedChunkRerunsPrefillWholeAndSolo)
+{
+    // The second of two chunk runs fails: the banked first chunk is
+    // discarded and the prefill reruns unchunked, bit-exact vs the
+    // standalone whole run.
+    SchedulerConfig cfg =
+        faultConfig("fail:req=0:stage=sads_topk:attempt=1");
+    cfg.prefillChunkRows = 4;
+    Scheduler sched(cfg);
+    const auto trace = mixedMiniTrace(1);
+    const auto results = runPaused(sched, trace);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].outcome, Outcome::Completed);
+    EXPECT_EQ(results[0].attempts, 3); // 2 chunk runs + 1 solo rerun
+    expectMatchesStandalone(results[0], trace[0], cfg.engine);
+    EXPECT_EQ(sched.stats().retried, 1);
+}
+
+TEST(Faults, DegradedRunRetriesAtTheDegradedKeepFactor)
+{
+    // The degraded solo run fails once; its retry still runs on the
+    // degraded engine and resolves Degraded, bit-exact vs a
+    // standalone run of degradedEngineConfig.
+    SchedulerConfig cfg =
+        faultConfig("fail:req=0:stage=sads_topk:attempt=0");
+    cfg.degradeAfterSeconds = 1e-9;
+    Scheduler sched(cfg);
+    const auto trace = mixedMiniTrace(1);
+    const auto results = runPaused(sched, trace);
+    ASSERT_EQ(results.size(), 1u);
+    const EngineConfig dcfg = degradedEngineConfig(cfg);
+    EXPECT_EQ(results[0].outcome, Outcome::Degraded);
+    EXPECT_EQ(results[0].attempts, 2);
+    EXPECT_DOUBLE_EQ(results[0].degradeKeepFrac,
+                     dcfg.pipeline.topkFrac /
+                         cfg.engine.pipeline.topkFrac);
+    expectMatchesStandalone(results[0], trace[0], dcfg);
+    EXPECT_EQ(sched.stats().retried, 1);
+}
+
+TEST(Faults, ChunkDeadlineReleasesEveryPage)
+{
+    // The second chunk's DLZS stage stalls 60 ms against a 30 ms
+    // deadline: the request times out with its banked rows dropped,
+    // and the KV pool ends with nothing pinned and no page lost.
+    SchedulerConfig cfg =
+        faultConfig("slow:req=0:stage=dlzs_predict:attempt=1:ms=60");
+    cfg.prefillChunkRows = 4;
+    cfg.kvPool.pages = 64;
+    Scheduler sched(cfg);
+    std::vector<Request> trace = mixedMiniTrace(1);
+    trace[0].deadlineSeconds = 30e-3;
+    const auto results = runPaused(sched, trace);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].outcome, Outcome::TimedOut);
+    EXPECT_TRUE(results[0].engine.heads.empty());
+    const KvPool &pool = sched.kvPool();
+    EXPECT_EQ(pool.pinnedPages(), 0);
+    EXPECT_EQ(pool.freePages() + pool.residentPages(),
+              pool.capacityPages());
+}
+
 /** The standard mixed fault plan of the determinism tests: one
  * transient failure, one permanent failure, one slowdown. */
 const char *const kMixedPlan =
@@ -475,30 +560,6 @@ TEST(Faults, BackoffIsDeterministicBoundedAndJittered)
     const double c = retryBackoffSeconds(p, 2, 1);
     const double d = retryBackoffSeconds(p, 3, 1);
     EXPECT_TRUE(a != c || c != d);
-}
-
-TEST(TaskQueueFaults, DestructorDrainsThrowingTasks)
-{
-    // The TaskQueue destructor must drain tasks whose bodies throw;
-    // the exceptions stay captured in the futures.
-    std::vector<std::future<void>> futs;
-    {
-        TaskQueue q(2);
-        for (int i = 0; i < 16; ++i)
-            futs.push_back(q.submit([i] {
-                if (i % 2 == 0)
-                    throw std::runtime_error(
-                        "task " + std::to_string(i));
-            }));
-    } // destructor drains all 16, half of them throwing
-    ASSERT_EQ(futs.size(), 16u);
-    for (int i = 0; i < 16; ++i) {
-        if (i % 2 == 0)
-            EXPECT_THROW(futs[static_cast<std::size_t>(i)].get(),
-                         std::runtime_error);
-        else
-            EXPECT_NO_THROW(futs[static_cast<std::size_t>(i)].get());
-    }
 }
 
 } // namespace

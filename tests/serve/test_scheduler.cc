@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "common/threadpool.h"
@@ -94,6 +96,41 @@ expectMatchesStandalone(const RequestResult &r,
     EXPECT_EQ(r.engine.keysCached, ref.keysCached);
     EXPECT_DOUBLE_EQ(r.engine.meanMassRecall, ref.meanMassRecall);
 }
+
+/** Backend decorator that forwards every run to an inner backend
+ * and records the most runs the inner one had in flight right after
+ * a begin(): the peak number of concurrent engine runs. */
+class DepthProbe : public Backend
+{
+  public:
+    explicit DepthProbe(std::shared_ptr<Backend> inner)
+        : Backend("probe"), inner_(std::move(inner))
+    {
+    }
+
+    BackendCapabilities capabilities() const override
+    {
+        return inner_->capabilities();
+    }
+    int maxDepth() const { return maxDepth_.load(); }
+
+  protected:
+    std::unique_ptr<BackendRun>
+    beginRun(std::vector<HeadTask> tasks, double keep_factor) override
+    {
+        auto run = inner_->begin(std::move(tasks), keep_factor);
+        const int depth = inner_->queueDepth();
+        int seen = maxDepth_.load();
+        while (depth > seen &&
+               !maxDepth_.compare_exchange_weak(seen, depth)) {
+        }
+        return run;
+    }
+
+  private:
+    std::shared_ptr<Backend> inner_;
+    std::atomic<int> maxDepth_{0};
+};
 
 TEST(Scheduler, ZeroRequestTrace)
 {
@@ -200,6 +237,34 @@ TEST(Scheduler, PausedStartMergesIntoContinuousBatches)
     EXPECT_EQ(st.maxQueueDepth, 8);
     for (auto &f : futs)
         EXPECT_EQ(f.get().coscheduledHeads, 8);
+}
+
+TEST(Scheduler, LanesBoundConcurrentEngineRuns)
+{
+    // A paused burst of one-request batches: a shard never has more
+    // engine runs in flight than it has lanes (at least one), and a
+    // single lane runs its batches strictly one at a time.
+    for (int lanes : {0, 1, 2}) {
+        auto probe = std::make_shared<DepthProbe>(
+            std::make_shared<EngineBackend>());
+        SchedulerConfig cfg;
+        cfg.lanes = lanes;
+        cfg.startPaused = true;
+        cfg.headBudget = 2; // one two-head request per batch
+        cfg.backends = {probe};
+        Scheduler sched(cfg);
+        std::vector<std::future<RequestResult>> futs;
+        for (const Request &r : mixedMiniTrace(8))
+            futs.push_back(sched.submit(r));
+        sched.drain();
+        for (auto &f : futs)
+            EXPECT_EQ(f.get().outcome, Outcome::Completed) << lanes;
+        EXPECT_GE(sched.stats().batches, 4) << lanes;
+        if (lanes <= 1)
+            EXPECT_EQ(probe->maxDepth(), 1) << lanes;
+        else
+            EXPECT_LE(probe->maxDepth(), lanes);
+    }
 }
 
 TEST(Scheduler, DeterministicAcrossPoolsAndSerial)
