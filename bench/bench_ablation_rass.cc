@@ -61,8 +61,8 @@ run(const bench::Options &opts, bench::Reporter &rep)
         spec.queries = 64;
         spec.mixture = mx.m;
         spec.seed = opts.seedOr(0x4A55 + mx.m.type1 * 100);
-        auto w = generateWorkload(spec);
-        auto sel = sadsTopK(w.scores, 64, {}).selections();
+        auto sel = sadsTopK(exactScores(generateWorkload(spec)), 64, {})
+                       .selections();
         for (int buf : {16, 64, 256}) {
             auto n = scheduleNaive(sel, buf);
             auto r = scheduleRass(sel, buf);

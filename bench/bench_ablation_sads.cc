@@ -24,7 +24,7 @@ run(const bench::Options &opts, bench::Reporter &rep)
     spec.queries = 64;
     spec.mixture = {0.25, 0.75, 0.0};
     spec.seed = opts.seedOr(0x5AD5);
-    auto w = generateWorkload(spec);
+    const MatF scores = exactScores(generateWorkload(spec));
     const int k = spec.seq / 5;
 
     const double vanilla_cmp = static_cast<double>(
@@ -37,12 +37,12 @@ run(const bench::Options &opts, bench::Reporter &rep)
     for (int n : {1, 2, 4, 8, 16, 32}) {
         SadsConfig cfg;
         cfg.segments = n;
-        auto res = sadsTopK(w.scores, k, cfg);
-        auto exact = exactTopKRows(w.scores, k);
+        auto res = sadsTopK(scores, k, cfg);
+        auto exact = exactTopKRows(scores, k);
         const double cmp_frac = res.ops.cmps() / vanilla_cmp;
         const double recall = topkRecall(res.selections(), exact);
         const double mass =
-            softmaxMassRecall(w.scores, res.selections());
+            softmaxMassRecall(scores, res.selections());
         std::printf("%9d | %14lld %8.1f%% | %8.1f%% %8.1f%%\n", n,
                     static_cast<long long>(res.ops.cmps()),
                     100.0 * cmp_frac, 100.0 * recall, 100.0 * mass);
@@ -64,16 +64,16 @@ run(const bench::Options &opts, bench::Reporter &rep)
                 "mass", "cmp-saved");
     SadsConfig base;
     base.segments = 4;
-    auto open = sadsTopK(w.scores, k, base);
+    auto open = sadsTopK(scores, k, base);
     for (double r : {1.0, 0.6, 0.4, 0.25, 0.15}) {
         SadsConfig cfg = base;
         cfg.radiusFrac = r;
-        auto res = sadsTopK(w.scores, k, cfg);
+        auto res = sadsTopK(scores, k, cfg);
         std::int64_t clipped = 0;
         for (const auto &row : res.rows)
             clipped += row.clipped;
         const double mass =
-            softmaxMassRecall(w.scores, res.selections());
+            softmaxMassRecall(scores, res.selections());
         const double cmp_saved =
             1.0 -
             static_cast<double>(res.ops.cmps()) / open.ops.cmps();

@@ -34,7 +34,7 @@ run(const bench::Options &opts, bench::Reporter &rep)
         spec.seed = opts.seedOr(0xAB1 + seq);
         auto w = generateWorkload(spec);
         const int k = seq / 4;
-        auto sel = exactTopKRows(w.scores, k);
+        auto sel = exactTopKRows(exactScores(w), k);
 
         SufaConfig desc, asc;
         asc.order = SufaOrder::Ascending;
@@ -66,7 +66,7 @@ run(const bench::Options &opts, bench::Reporter &rep)
     spec.queries = 32;
     spec.seed = opts.seedOr(spec.seed);
     auto w = generateWorkload(spec);
-    auto sel = exactTopKRows(w.scores, 256);
+    auto sel = exactTopKRows(exactScores(w), 256);
     Rng rng(opts.seedOr(17));
     std::printf("%12s | %12s %14s\n", "swap frac", "violations",
                 "extra energy ops");

@@ -78,16 +78,17 @@ run(const bench::Options &opts, bench::Reporter &rep)
     spec.seed = opts.seedOr(spec.seed);
     auto w = generateWorkload(spec);
     DlzsPrediction pred = dlzsPredict(w.tokens, w.wk, w.q);
+    const MatF scores = exactScores(w);
     for (double keep : {0.1, 0.2, 0.3}) {
         const int k = static_cast<int>(keep * spec.seq);
         auto sel = exactTopKRows(pred.scoresHat, k);
-        auto oracle = exactTopKRows(w.scores, k);
+        auto oracle = exactTopKRows(scores, k);
         const double recall = topkRecall(sel, oracle);
-        const double mass = softmaxMassRecall(w.scores, sel);
+        const double mass = softmaxMassRecall(scores, sel);
         std::printf("keep %4.0f%%: top-k recall %5.1f%%, softmax "
                     "mass %5.1f%% (oracle %5.1f%%)\n",
                     100.0 * keep, 100.0 * recall, 100.0 * mass,
-                    100.0 * softmaxMassRecall(w.scores, oracle));
+                    100.0 * softmaxMassRecall(scores, oracle));
         if (keep == 0.2) {
             // Discrete top-k selections: near-ties may flip across
             // compilers, so the bound is looser than the default.

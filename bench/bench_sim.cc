@@ -60,6 +60,7 @@ int
 run(const bench::Options &opts, bench::Reporter &rep)
 {
     auto &w = sharedWorkload(opts);
+    const MatF scores = exactScores(w);
     // Quick tier: one timing sample per case; the artifact is for
     // trajectory only, never gated, so noise is acceptable there.
     const double min_total = opts.quick ? 0.0 : 0.4;
@@ -78,19 +79,19 @@ run(const bench::Options &opts, bench::Reporter &rep)
         SadsConfig cfg;
         cfg.segments = segments;
         report(rep, name, [&] {
-            auto res = sadsTopK(w.scores, 204, cfg);
+            auto res = sadsTopK(scores, 204, cfg);
             (void)res;
         }, min_total);
     }
 
     report(rep, "vanilla_topk", [&] {
         OpCounter ops;
-        auto sel = vanillaTopKRows(w.scores, 204, &ops);
+        auto sel = vanillaTopKRows(scores, 204, &ops);
         (void)sel;
     }, min_total);
 
     {
-        auto sel = exactTopKRows(w.scores, 204);
+        auto sel = exactTopKRows(scores, 204);
         report(rep, "sufa_descending", [&] {
             auto res = sufaAttention(w.q, w.k, w.v, sel, {});
             (void)res;
@@ -111,7 +112,7 @@ run(const bench::Options &opts, bench::Reporter &rep)
     }
 
     {
-        auto sel = sadsTopK(w.scores, 128, {}).selections();
+        auto sel = sadsTopK(scores, 128, {}).selections();
         for (const int lanes : {16, 64}) {
             char name[64];
             std::snprintf(name, sizeof(name), "rass_schedule/pe=%d",

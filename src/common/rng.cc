@@ -22,6 +22,15 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 double
 Rng::gaussian(double mean, double stddev)
 {
+    if (stddev == 0.0) {
+        // std::normal_distribution requires stddev > 0 (checked mode
+        // asserts it). Which engine words its polar method consumes
+        // does not depend on the parameters, so a unit draw keeps the
+        // stream in step.
+        std::normal_distribution<double> unit;
+        unit(engine_);
+        return mean;
+    }
     std::normal_distribution<double> d(mean, stddev);
     return d(engine_);
 }

@@ -26,7 +26,11 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
-    /** Normal deviate. */
+    /**
+     * Normal deviate. At @p stddev 0 it returns @p mean after
+     * consuming the engine words a unit draw consumes, so the stream
+     * stays where any other stddev leaves it.
+     */
     double gaussian(double mean = 0.0, double stddev = 1.0);
 
     /** Exponential deviate with the given rate. */
@@ -49,9 +53,6 @@ class Rng
             std::swap(v[i - 1], v[j]);
         }
     }
-
-    /** Expose the engine for use with std distributions. */
-    std::mt19937_64 &engine() { return engine_; }
 
   private:
     std::mt19937_64 engine_;

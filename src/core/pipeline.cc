@@ -39,17 +39,29 @@ kvGenerationOps(std::int64_t keys, std::int64_t token_dim,
     return ops;
 }
 
+namespace {
+
+/** fillPipelineQuality on @p w's exact scores, already computed. */
 void
-fillPipelineQuality(const AttentionWorkload &w, int k,
-                    PipelineResult &res)
+fillQuality(const AttentionWorkload &w, const MatF &scores, int k,
+            PipelineResult &res)
 {
-    SelectionList exact = exactTopKRows(w.scores, k);
+    SelectionList exact = exactTopKRows(scores, k);
     res.topkRecall = topkRecall(res.selections, exact);
-    res.massRecall = softmaxMassRecall(w.scores, res.selections);
+    res.massRecall = softmaxMassRecall(scores, res.selections);
     res.accuracyLossPct = accuracyLossPercent(res.massRecall);
 
     AttentionResult dense = referenceAttention(w.q, w.k, w.v);
     res.outputRelError = outputError(res.output, dense.output);
+}
+
+} // namespace
+
+void
+fillPipelineQuality(const AttentionWorkload &w, int k,
+                    PipelineResult &res)
+{
+    fillQuality(w, exactScores(w), k, res);
 }
 
 PipelineResult
@@ -89,7 +101,8 @@ runBaselinePipeline(const AttentionWorkload &w, double topk_frac,
     // 4-bit arithmetic; selection quality is modeled on the exact
     // scores (favoring the baseline — reductions we report against it
     // are therefore conservative).
-    SelectionList sel = vanillaTopKRows(w.scores, k, &res.sortOps);
+    const MatF scores = exactScores(w);
+    SelectionList sel = vanillaTopKRows(scores, k, &res.sortOps);
     res.selections = sel;
 
     // Full KV generation: all S keys are produced regardless of need.
@@ -101,7 +114,7 @@ runBaselinePipeline(const AttentionWorkload &w, double topk_frac,
     res.formalOps += fa2.ops;
     res.output = std::move(fa2.output);
 
-    fillPipelineQuality(w, k, res);
+    fillQuality(w, scores, k, res);
     return res;
 }
 

@@ -1,6 +1,7 @@
 #include "model/model_workload.h"
 
 #include "common/logging.h"
+#include "common/threadpool.h"
 
 namespace sofa {
 
@@ -52,22 +53,33 @@ generateModelWorkload(const ModelWorkloadSpec &spec)
 
     ModelWorkload mw;
     mw.spec = spec;
-    mw.grid.reserve(static_cast<std::size_t>(spec.batch) *
-                    spec.heads);
+    // Each item's token stream is seeded per batch item (head index
+    // ~0 is reserved for it in the seed space) so every head of the
+    // item sees the same tokens. It is one serial RNG stream.
+    std::vector<TokenField> fields;
+    fields.reserve(static_cast<std::size_t>(spec.batch));
     for (int b = 0; b < spec.batch; ++b) {
-        // The item's token stream is seeded per batch item (head
-        // index 0 is reserved for it in the seed space via the ~0
-        // sentinel) so every head of the item sees the same tokens.
         Rng token_rng(headSeed(spec.seed, b, ~0));
-        const WorkloadSpec base = spec.headSpec(b, 0);
-        const TokenField field = generateTokenField(base, token_rng);
-        for (int h = 0; h < spec.heads; ++h) {
-            const WorkloadSpec hs = spec.headSpec(b, h);
-            Rng head_rng(hs.seed);
-            mw.grid.push_back(
-                generateHeadWorkload(hs, field, head_rng));
-        }
+        fields.push_back(
+            generateTokenField(spec.headSpec(b, 0), token_rng));
     }
+    // Every head has its own seed and only reads its item's field,
+    // so the heads generate in parallel, one head per chunk, and the
+    // grid is bit-identical at any thread count (the matmuls nested
+    // inside run inline on the chunk's thread). A throw surfaces on
+    // the caller.
+    const auto heads = static_cast<std::size_t>(spec.heads);
+    mw.grid.resize(static_cast<std::size_t>(spec.batch) * heads);
+    parallelForRows(mw.grid.size(), 1,
+                    [&](std::size_t i0, std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i) {
+            const int b = static_cast<int>(i / heads);
+            const WorkloadSpec hs =
+                spec.headSpec(b, static_cast<int>(i % heads));
+            Rng head_rng(hs.seed);
+            mw.grid[i] = generateHeadWorkload(hs, fields[b], head_rng);
+        }
+    });
     return mw;
 }
 

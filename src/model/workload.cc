@@ -394,8 +394,6 @@ finishHeadWorkload(AttentionWorkload &w, const std::vector<float> &u_x,
                 qr[c] += static_cast<float>(scale * kr[c]);
         }
     }
-
-    w.scores = matmulNT(w.q, w.k);
 }
 
 } // namespace
@@ -418,6 +416,12 @@ generateWorkload(const WorkloadSpec &spec)
     bakeBackground(spec, rng, &w.tokens, u_x);
     finishHeadWorkload(w, u_x, rng);
     return w;
+}
+
+MatF
+exactScores(const AttentionWorkload &w)
+{
+    return matmulNT(w.q, w.k);
 }
 
 TokenField

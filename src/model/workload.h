@@ -7,9 +7,12 @@
  * family's mixture. This module (a) generates score rows of each type,
  * (b) classifies rows back into types (used to validate the generator
  * and to reproduce Fig. 8(b)), and (c) generates complete tensor-level
- * workloads (X, Wk, Wv, Q and the exact K, V, A) whose attention matrix
+ * workloads (X, Wk, Wv, Q and the exact K, V) whose attention matrix
  * follows a requested mixture, so the full DLZS -> SADS -> SU-FA
- * pipeline can be exercised end to end.
+ * pipeline can be exercised end to end. The exact scores A = Q K^T
+ * are not stored: the engine never reads them, and the quality
+ * metrics and ground-truth consumers compute them on demand with
+ * exactScores.
  */
 
 #ifndef SOFA_MODEL_WORKLOAD_H
@@ -103,8 +106,8 @@ struct WorkloadSpec
 
 /**
  * A complete attention workload: raw tokens and weights (the inputs the
- * SOFA accelerator sees) together with the exact derived tensors used
- * as ground truth by the quality metrics.
+ * SOFA accelerator sees) together with the exact K and V; the exact
+ * scores come from exactScores.
  */
 struct AttentionWorkload
 {
@@ -115,7 +118,6 @@ struct AttentionWorkload
     MatF q;        ///< Q  [T x d]
     MatF k;        ///< K = X * Wk, exact       [S x d]
     MatF v;        ///< V = X * Wv, exact       [S x d]
-    MatF scores;   ///< A = Q * K^T, exact      [T x S]
     /** Dominant key indices planted for each query row. */
     std::vector<std::vector<int>> dominants;
     /** The distribution type drawn for each query row. */
@@ -124,6 +126,14 @@ struct AttentionWorkload
 
 /** Generate a full workload per @p spec. */
 AttentionWorkload generateWorkload(const WorkloadSpec &spec);
+
+/**
+ * The exact scores A = Q K^T [T x S] of @p w, the ground truth the
+ * quality metrics compare against. Deterministic (a plain matmulNT),
+ * and each row depends only on its own query row, so a query-row
+ * slice's scores are the matching rows of the full matrix.
+ */
+MatF exactScores(const AttentionWorkload &w);
 
 /**
  * The per-batch-item token state shared by every head of a

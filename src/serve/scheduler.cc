@@ -116,18 +116,11 @@ sliceQueryRows(const AttentionWorkload &w, int r0, int r1)
     s.k = w.k;
     s.v = w.v;
     s.q = MatF(static_cast<std::size_t>(r1 - r0), w.q.cols());
-    s.scores =
-        MatF(static_cast<std::size_t>(r1 - r0), w.scores.cols());
-    for (int r = r0; r < r1; ++r) {
+    for (int r = r0; r < r1; ++r)
         std::copy(w.q.rowPtr(static_cast<std::size_t>(r)),
                   w.q.rowPtr(static_cast<std::size_t>(r)) +
                       w.q.cols(),
                   s.q.rowPtr(static_cast<std::size_t>(r - r0)));
-        std::copy(w.scores.rowPtr(static_cast<std::size_t>(r)),
-                  w.scores.rowPtr(static_cast<std::size_t>(r)) +
-                      w.scores.cols(),
-                  s.scores.rowPtr(static_cast<std::size_t>(r - r0)));
-    }
     s.dominants.assign(w.dominants.begin() + r0,
                        w.dominants.begin() + r1);
     s.rowTypes.assign(w.rowTypes.begin() + r0,

@@ -193,9 +193,10 @@ double retryBackoffSeconds(const RetryPolicy &policy,
                            std::uint64_t request, int attempt);
 
 /**
- * Row-slice one head's workload to query rows [r0, r1): Q, the
- * ground-truth scores and the per-row annotations are sliced, the
- * shared context (tokens, projections, exact K/V) is carried whole.
+ * Row-slice one head's workload to query rows [r0, r1): Q and the
+ * per-row annotations are sliced, the shared context (tokens,
+ * projections, exact K/V) is carried whole, and the slice's
+ * exactScores are the matching rows of the full workload's.
  * This is the exact slicing prefill chunking dispatches — exposed so
  * tests can reproduce a chunk's standalone reference run.
  */

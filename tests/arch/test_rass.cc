@@ -84,7 +84,7 @@ TEST(Rass, RealisticSelectionsSaveMemory)
     spec.queries = 64;
     spec.mixture = {0.25, 0.75, 0.0};
     auto w = generateWorkload(spec);
-    auto sads = sadsTopK(w.scores, 64, {});
+    auto sads = sadsTopK(exactScores(w), 64, {});
     auto sel = sads.selections();
 
     auto naive = scheduleNaive(sel, 64);
@@ -129,7 +129,7 @@ TEST(Naive, SmallBufferThrashes)
     // Shrinking the buffer increases naive refetches.
     auto w = testutil::makeWorkload(256, 32, /*headDim=*/64,
                                     /*tokenDim=*/128);
-    auto sads = sadsTopK(w.scores, 64, {});
+    auto sads = sadsTopK(exactScores(w), 64, {});
     auto sel = sads.selections();
     auto big = scheduleNaive(sel, 256);
     auto small = scheduleNaive(sel, 4);

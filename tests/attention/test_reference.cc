@@ -22,7 +22,7 @@ tinyWorkload(int seq = 64, int queries = 8)
 TEST(SoftmaxRows, RowsSumToOne)
 {
     auto w = tinyWorkload();
-    MatF p = softmaxRows(w.scores);
+    MatF p = softmaxRows(exactScores(w));
     for (std::size_t r = 0; r < p.rows(); ++r) {
         double sum = 0.0;
         for (std::size_t c = 0; c < p.cols(); ++c)

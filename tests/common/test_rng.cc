@@ -62,6 +62,22 @@ TEST(Rng, GaussianMoments)
     EXPECT_NEAR(var, 4.0, 0.25);
 }
 
+TEST(Rng, GaussianZeroStddevReturnsMeanAndKeepsStream)
+{
+    // A stddev-0 draw returns the mean exactly and consumes what a
+    // unit draw consumes, so the draws after it match a twin stream
+    // that drew at stddev 1.
+    for (double mean : {-1.0, 0.0, 1.0}) {
+        Rng zero(29), unit(29);
+        for (int i = 0; i < 200; ++i) {
+            EXPECT_EQ(zero.gaussian(mean, 0.0), mean);
+            unit.gaussian(0.0, 1.0);
+            EXPECT_EQ(zero.gaussian(), unit.gaussian());
+            EXPECT_EQ(zero.uniform(), unit.uniform());
+        }
+    }
+}
+
 TEST(Rng, CategoricalRespectsWeights)
 {
     Rng r(13);

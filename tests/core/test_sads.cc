@@ -189,12 +189,12 @@ TEST(Sads, RangeApiComposesToFullResult)
 {
     // Disjoint row ranges into one result must reproduce the
     // whole-matrix entry point exactly (the engine's sharding).
-    auto w = testutil::makeWorkload(256, 10);
-    const SadsResult full = sadsTopK(w.scores, 32, {});
-    std::vector<SadsRow> rows(w.scores.rows());
+    const MatF scores = exactScores(testutil::makeWorkload(256, 10));
+    const SadsResult full = sadsTopK(scores, 32, {});
+    std::vector<SadsRow> rows(scores.rows());
     OpCounter ops;
-    sadsTopKRows(w.scores, 32, {}, 0, 4, &rows, &ops);
-    sadsTopKRows(w.scores, 32, {}, 4, w.scores.rows(), &rows, &ops);
+    sadsTopKRows(scores, 32, {}, 0, 4, &rows, &ops);
+    sadsTopKRows(scores, 32, {}, 4, scores.rows(), &rows, &ops);
     ASSERT_EQ(rows.size(), full.rows.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {
         EXPECT_EQ(rows[r].selected, full.rows[r].selected) << r;
@@ -207,13 +207,13 @@ TEST(Sads, RangeApiComposesToFullResult)
 
 TEST(Sads, ThreadCountInvariance)
 {
-    auto w = testutil::makeWorkload(384, 24);
+    const MatF scores = exactScores(testutil::makeWorkload(384, 24));
     SadsResult serial_res;
     {
         ThreadPool::ScopedSerial serial;
-        serial_res = sadsTopK(w.scores, 64, {});
+        serial_res = sadsTopK(scores, 64, {});
     }
-    const SadsResult threaded = sadsTopK(w.scores, 64, {});
+    const SadsResult threaded = sadsTopK(scores, 64, {});
     EXPECT_EQ(threaded.selections(), serial_res.selections());
     EXPECT_EQ(threaded.ops.total(), serial_res.ops.total());
 }

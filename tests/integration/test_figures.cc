@@ -125,7 +125,7 @@ TEST(FigureShapes, Fig20RassPlusTilingCutMemory)
 {
     auto w = generateWorkload(
         suiteSmall()[0].workloadSpec(512, 64));
-    auto sads = sadsTopK(w.scores, 102, {});
+    auto sads = sadsTopK(exactScores(w), 102, {});
     auto sel = sads.selections();
     auto naive = scheduleNaive(sel, 64);
     auto rass = scheduleRass(sel, 64);

@@ -214,12 +214,12 @@ TEST(FailureInjection, PipelineOnConstantScores)
     spec.dominantGain = 0.0;   // no dominants
     spec.backgroundGain = 0.0; // no shared ranking
     auto w = generateWorkload(spec);
-    w.scores.fill(1.0f); // force exact ties
+    const MatF scores(w.q.rows(), w.k.rows(), 1.0f); // exact ties
     PipelineConfig cfg;
     cfg.topkFrac = 0.25;
     // SADS on the true scores' prediction still runs; use the
     // baseline path on the tied matrix directly.
-    auto sel = sadsTopK(w.scores, 32, {});
+    auto sel = sadsTopK(scores, 32, {});
     for (const auto &row : sel.rows)
         EXPECT_EQ(row.selected.size(), 32u);
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/threadpool.h"
 #include "model/model_workload.h"
 #include "testutil.h"
 
@@ -32,8 +33,8 @@ TEST(ModelWorkload, GridShape)
             EXPECT_EQ(w.spec.queries, 8);
             EXPECT_EQ(w.q.rows(), 8u);
             EXPECT_EQ(w.k.rows(), 96u);
-            EXPECT_EQ(w.scores.rows(), 8u);
-            EXPECT_EQ(w.scores.cols(), 96u);
+            EXPECT_EQ(exactScores(w).rows(), 8u);
+            EXPECT_EQ(exactScores(w).cols(), 96u);
         }
     }
 }
@@ -58,7 +59,7 @@ TEST(ModelWorkload, DeterministicPerHeadSeeding)
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a.grid[i].tokens, b.grid[i].tokens);
         EXPECT_EQ(a.grid[i].q, b.grid[i].q);
-        EXPECT_EQ(a.grid[i].scores, b.grid[i].scores);
+        EXPECT_EQ(a.grid[i].k, b.grid[i].k);
     }
     // A different grid seed moves every head.
     auto spec = smallSpec();
@@ -102,15 +103,54 @@ TEST(ModelWorkload, EmptyBatchProducesEmptyGrid)
 TEST(ModelWorkload, HeadWorkloadMatchesSingleHeadConsumers)
 {
     // A grid head is a complete AttentionWorkload: exact K/V/scores
-    // ground truth holds (K = X Wk etc.), so every single-head
-    // consumer can run on it unchanged.
+    // ground truth holds (K = X Wk etc., A from exactScores), so
+    // every single-head consumer can run on it unchanged.
     const auto mw = generateModelWorkload(smallSpec());
     const AttentionWorkload &w = mw.head(1, 2);
     const MatF k = matmul(w.tokens, w.wk);
     const MatF v = matmul(w.tokens, w.wv);
     EXPECT_EQ(w.k, k);
     EXPECT_EQ(w.v, v);
-    EXPECT_EQ(w.scores, matmulNT(w.q, w.k));
+    EXPECT_EQ(exactScores(w), matmulNT(w.q, w.k));
+}
+
+TEST(ModelWorkload, ParallelGenerationMatchesSerial)
+{
+    // Heads generate in parallel on the pool; every head owns its
+    // seed and only reads its item's token field, so the grid is
+    // bit-identical to a serial generation.
+    ModelWorkloadSpec prefill;
+    prefill.batch = 2;
+    prefill.heads = 5;
+    prefill.seq = 256;
+    prefill.queries = 32;
+    prefill.headDim = 32;
+    prefill.tokenDim = 64;
+    ModelWorkloadSpec decode = prefill;
+    decode.heads = 4;
+    decode.pastLen = 320;
+    decode.newTokens = 4; // speculative decode, gamma = 4
+    for (const ModelWorkloadSpec &spec : {prefill, decode}) {
+        ModelWorkload serial;
+        {
+            ThreadPool::ScopedSerial guard;
+            serial = generateModelWorkload(spec);
+        }
+        const ModelWorkload pooled = generateModelWorkload(spec);
+        ASSERT_EQ(pooled.size(), serial.size());
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            const AttentionWorkload &a = serial.grid[i];
+            const AttentionWorkload &b = pooled.grid[i];
+            EXPECT_EQ(a.tokens, b.tokens) << i;
+            EXPECT_EQ(a.wk, b.wk) << i;
+            EXPECT_EQ(a.wv, b.wv) << i;
+            EXPECT_EQ(a.q, b.q) << i;
+            EXPECT_EQ(a.k, b.k) << i;
+            EXPECT_EQ(a.v, b.v) << i;
+            EXPECT_EQ(a.dominants, b.dominants) << i;
+            EXPECT_EQ(a.rowTypes, b.rowTypes) << i;
+        }
+    }
 }
 
 TEST(ModelWorkload, SharedTokenFieldReusableDirectly)

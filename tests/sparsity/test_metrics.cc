@@ -83,7 +83,8 @@ TEST(MetricsIntegration, RecallImprovesWithK)
     auto w = testutil::makeWorkload(256, 16, /*headDim=*/64,
                                     /*tokenDim=*/128);
     // Noisy prediction: exact scores + noise.
-    MatF noisy = w.scores;
+    const MatF scores = exactScores(w);
+    MatF noisy = scores;
     Rng rng = testutil::makeRng(7);
     for (auto &v : noisy.data())
         v += static_cast<float>(rng.gaussian(0.0, 1.0));
@@ -91,9 +92,9 @@ TEST(MetricsIntegration, RecallImprovesWithK)
     double prev_recall = 0.0;
     for (int k : {8, 32, 128}) {
         auto pred = exactTopKRows(noisy, k);
-        auto exact = exactTopKRows(w.scores, k);
+        auto exact = exactTopKRows(scores, k);
         (void)exact;
-        const double mass = softmaxMassRecall(w.scores, pred);
+        const double mass = softmaxMassRecall(scores, pred);
         EXPECT_GE(mass, prev_recall);
         prev_recall = mass;
     }

@@ -77,7 +77,7 @@ makeTopkSetup(int seq = 256, int queries = 16, int k = 64,
 {
     TopkSetup s;
     s.w = makeWorkload(seq, queries, headDim, tokenDim);
-    s.selections = exactTopKRows(s.w.scores, k);
+    s.selections = exactTopKRows(exactScores(s.w), k);
     return s;
 }
 
